@@ -240,9 +240,9 @@ pub enum RecoveryEvent {
 
 /// The wall-clock breakdown of one collect → push → check round,
 /// carried on [`RecoveryEvent::CheckCompleted`]. `solve` is the same
-/// duration as the event's `elapsed`; the other three cover the round's
-/// earlier phases, so `collect + preprocess + encode + solve` is the
-/// round's total pipeline time.
+/// duration as the event's `elapsed`; the other four cover the round's
+/// earlier phases, so `collect + preprocess + encode + load + solve` is
+/// the round's total pipeline time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundPhases {
     /// Collecting the batch's miscorrection profile from the backend.
@@ -251,6 +251,8 @@ pub struct RoundPhases {
     pub preprocess: Duration,
     /// Encoding the thresholded facts into CNF.
     pub encode: Duration,
+    /// Loading the newly encoded clauses into the live SAT session.
+    pub load: Duration,
     /// The SAT uniqueness check (enumeration + lazy repairs).
     pub solve: Duration,
 }
@@ -1014,6 +1016,7 @@ impl<'s> RecoverySession<'s> {
         let facts_before = self.solver.facts_encoded();
         self.solver.push_constraints(&constraints)?;
         let (encode_time, preprocess_time) = self.solver.last_push_times();
+        let load_time = self.solver.last_load_time();
         let total_facts = self.solver.facts_encoded();
         let pinned_vars = self.solver.pinned_vars();
         self.emit(RecoveryEvent::FactsPushed {
@@ -1041,6 +1044,7 @@ impl<'s> RecoverySession<'s> {
                 collect: collect_time,
                 preprocess: preprocess_time,
                 encode: encode_time,
+                load: load_time,
                 solve: report.total_time,
             },
             sim_ns: round_sim_ns,

@@ -918,6 +918,9 @@ pub struct ProgressiveSolver {
     /// `(encode, preprocess)`. Surfaced per round through
     /// [`RecoveryEvent::CheckCompleted`](crate::recovery::RecoveryEvent).
     last_push_times: (Duration, Duration),
+    /// Wall-clock time the most recent push spent loading its clauses
+    /// into the SAT session.
+    last_load_time: Duration,
 }
 
 impl ProgressiveSolver {
@@ -943,6 +946,7 @@ impl ProgressiveSolver {
             facts_encoded: 0,
             root_conflict: !ok,
             last_push_times: (Duration::ZERO, Duration::ZERO),
+            last_load_time: Duration::ZERO,
         }
     }
 
@@ -1001,9 +1005,11 @@ impl ProgressiveSolver {
             self.problem.apply_preprocessing(&pre);
         }
         let preprocess_time = preprocess_start.elapsed();
+        let load_start = Instant::now();
         if !self.problem.cnf.flush_into(self.session.solver_mut()) {
             self.root_conflict = true;
         }
+        self.last_load_time = load_start.elapsed();
         self.last_push_times = (encode_time, preprocess_time);
         Ok(())
     }
@@ -1012,6 +1018,13 @@ impl ProgressiveSolver {
     /// [`ProgressiveSolver::push_constraints`] call.
     pub fn last_push_times(&self) -> (Duration, Duration) {
         self.last_push_times
+    }
+
+    /// Wall-clock time the most recent
+    /// [`ProgressiveSolver::push_constraints`] call spent loading its
+    /// clauses into the SAT session ([`beer_sat::CnfBuilder::flush_into`]).
+    pub fn last_load_time(&self) -> Duration {
+        self.last_load_time
     }
 
     /// Runs a uniqueness check over everything pushed so far: enumerates

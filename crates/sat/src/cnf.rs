@@ -4,22 +4,31 @@ use crate::solver::Solver;
 use crate::types::{Lit, Var};
 use std::collections::HashMap;
 
-/// Structural key for gate memoization.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// The memo key of a gate, split by arity so that the two-input gates that
+/// dominate BEER's encodings never allocate.
 enum GateKey {
-    And(Vec<usize>),
-    Or(Vec<usize>),
-    Xor(Vec<usize>),
+    Pair((GateOp, u32, u32)),
+    Wide((GateOp, Vec<u32>)),
+}
+
+/// The operation of a memoized gate.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum GateOp {
+    And,
+    Or,
+    Xor,
 }
 
 /// A CNF formula under construction, with a Tseitin gate library.
 ///
-/// `CnfBuilder` accumulates variables and clauses, memoizing structurally
-/// identical gates so that BEER's large encodings (hundreds of thousands of
-/// XOR/AND terms over the same parity-check matrix entries, §5.3) stay
-/// compact. Call [`CnfBuilder::into_solver`] to obtain a loaded [`Solver`];
-/// further clauses (e.g. model-blocking clauses) can then be added directly
-/// to the solver.
+/// `CnfBuilder` allocates variables and emits clauses, memoizing
+/// structurally identical gates so that BEER's large encodings (hundreds of
+/// thousands of XOR/AND terms over the same parity-check matrix entries,
+/// §5.3) stay compact. It holds only the clauses not yet shipped to a
+/// solver, back to back in one flat buffer; [`CnfBuilder::flush_into`]
+/// drains them into a live [`Solver`], and [`CnfBuilder::into_solver`]
+/// drains them into a fresh one. Further clauses (e.g. model-blocking
+/// clauses) can then be added directly to the solver.
 ///
 /// All gate outputs are full biconditional (both-polarity) encodings, so
 /// gate literals may be used under any polarity, including inside negative
@@ -41,11 +50,17 @@ enum GateKey {
 /// ```
 pub struct CnfBuilder {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
-    gate_cache: HashMap<GateKey, Lit>,
+    /// Clauses added so far, shipped or not.
+    num_clauses: usize,
+    /// Literals of the clauses not yet shipped, back to back.
+    pending_lits: Vec<Lit>,
+    /// End offset in `pending_lits` of each clause not yet shipped.
+    pending_ends: Vec<usize>,
+    /// Two-input gates, keyed by their sorted input words.
+    pair_gates: HashMap<(GateOp, u32, u32), Lit>,
+    /// Wider AND/OR gates, keyed by their sorted input words.
+    wide_gates: HashMap<(GateOp, Vec<u32>), Lit>,
     const_true: Option<Lit>,
-    /// Clauses already shipped to a live solver by [`CnfBuilder::flush_into`].
-    flushed: usize,
 }
 
 impl Default for CnfBuilder {
@@ -59,10 +74,12 @@ impl CnfBuilder {
     pub fn new() -> Self {
         CnfBuilder {
             num_vars: 0,
-            clauses: Vec::new(),
-            gate_cache: HashMap::new(),
+            num_clauses: 0,
+            pending_lits: Vec::new(),
+            pending_ends: Vec::new(),
+            pair_gates: HashMap::new(),
+            wide_gates: HashMap::new(),
             const_true: None,
-            flushed: 0,
         }
     }
 
@@ -83,14 +100,16 @@ impl CnfBuilder {
         self.num_vars
     }
 
-    /// Number of clauses added so far.
+    /// Number of clauses added so far, including those already shipped.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Adds a raw clause (a disjunction of literals).
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.pending_lits.extend_from_slice(lits);
+        self.pending_ends.push(self.pending_lits.len());
+        self.num_clauses += 1;
     }
 
     /// Asserts that a literal holds (adds a unit clause).
@@ -100,10 +119,9 @@ impl CnfBuilder {
 
     /// Adds the implication `premise → (⋁ conclusion)`.
     pub fn add_implication(&mut self, premise: Lit, conclusion: &[Lit]) {
-        let mut c = Vec::with_capacity(conclusion.len() + 1);
-        c.push(!premise);
-        c.extend_from_slice(conclusion);
-        self.add_clause(&c);
+        // `add_clause` closes the clause this literal opens.
+        self.pending_lits.push(!premise);
+        self.add_clause(conclusion);
     }
 
     /// A literal constrained to be true (for building constant inputs).
@@ -122,10 +140,29 @@ impl CnfBuilder {
         !self.lit_true()
     }
 
-    fn sorted_codes(lits: &[Lit]) -> Vec<usize> {
-        let mut v: Vec<usize> = lits.iter().map(|l| l.code()).collect();
-        v.sort_unstable();
-        v
+    /// Looks up a memoized gate; on a miss, returns the key to memoize the
+    /// new gate under (its operation and sorted input words).
+    fn lookup(&self, op: GateOp, lits: &[Lit]) -> Result<Lit, GateKey> {
+        let key = if let [a, b] = lits {
+            let (a, b) = (a.to_word(), b.to_word());
+            GateKey::Pair((op, a.min(b), a.max(b)))
+        } else {
+            let mut words: Vec<u32> = lits.iter().map(|l| l.to_word()).collect();
+            words.sort_unstable();
+            GateKey::Wide((op, words))
+        };
+        let hit = match &key {
+            GateKey::Pair(k) => self.pair_gates.get(k),
+            GateKey::Wide(k) => self.wide_gates.get(k),
+        };
+        hit.copied().ok_or(key)
+    }
+
+    fn memoize(&mut self, key: GateKey, y: Lit) {
+        match key {
+            GateKey::Pair(k) => self.pair_gates.insert(k, y),
+            GateKey::Wide(k) => self.wide_gates.insert(k, y),
+        };
     }
 
     /// Returns a literal equivalent to the AND of `lits`.
@@ -141,20 +178,19 @@ impl CnfBuilder {
         if lits.len() == 1 {
             return lits[0];
         }
-        let key = GateKey::And(Self::sorted_codes(lits));
-        if let Some(&y) = self.gate_cache.get(&key) {
-            return y;
-        }
+        let key = match self.lookup(GateOp::And, lits) {
+            Ok(y) => return y,
+            Err(key) => key,
+        };
         let y = self.new_lit();
         // y → li for each i; (⋀ li) → y.
-        let mut long: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
         for &l in lits {
             self.add_clause(&[!y, l]);
-            long.push(!l);
         }
-        long.push(y);
-        self.add_clause(&long);
-        self.gate_cache.insert(key, y);
+        // (¬l1 ∨ … ∨ ¬ln ∨ y), opened here and closed by `add_clause`.
+        self.pending_lits.extend(lits.iter().map(|&l| !l));
+        self.add_clause(&[y]);
+        self.memoize(key, y);
         y
     }
 
@@ -168,35 +204,34 @@ impl CnfBuilder {
         if lits.len() == 1 {
             return lits[0];
         }
-        let key = GateKey::Or(Self::sorted_codes(lits));
-        if let Some(&y) = self.gate_cache.get(&key) {
-            return y;
-        }
+        let key = match self.lookup(GateOp::Or, lits) {
+            Ok(y) => return y,
+            Err(key) => key,
+        };
         let y = self.new_lit();
-        let mut long: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
         for &l in lits {
             self.add_clause(&[y, !l]);
-            long.push(l);
         }
-        long.push(!y);
-        self.add_clause(&long);
-        self.gate_cache.insert(key, y);
+        // (l1 ∨ … ∨ ln ∨ ¬y), opened here and closed by `add_clause`.
+        self.pending_lits.extend_from_slice(lits);
+        self.add_clause(&[!y]);
+        self.memoize(key, y);
         y
     }
 
     /// Returns a literal equivalent to `a XOR b`. Memoized.
     pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
-        let key = GateKey::Xor(Self::sorted_codes(&[a, b]));
-        if let Some(&y) = self.gate_cache.get(&key) {
-            return y;
-        }
+        let key = match self.lookup(GateOp::Xor, &[a, b]) {
+            Ok(y) => return y,
+            Err(key) => key,
+        };
         let y = self.new_lit();
         // y ↔ a ⊕ b, full four-clause biconditional.
         self.add_clause(&[!y, a, b]);
         self.add_clause(&[!y, !a, !b]);
         self.add_clause(&[y, a, !b]);
         self.add_clause(&[y, !a, b]);
-        self.gate_cache.insert(key, y);
+        self.memoize(key, y);
         y
     }
 
@@ -333,10 +368,11 @@ impl CnfBuilder {
         }
     }
 
-    /// Consumes the builder and returns a solver loaded with the formula.
+    /// Consumes the builder and returns a fresh solver loaded with every
+    /// clause not yet shipped — the whole formula, unless the builder was
+    /// flushed before.
     pub fn into_solver(mut self) -> Solver {
         let mut solver = Solver::new();
-        self.flushed = 0;
         self.flush_into(&mut solver);
         solver
     }
@@ -352,22 +388,21 @@ impl CnfBuilder {
     /// absorbing the new clauses (the formula is then permanently UNSAT).
     pub fn flush_into(&mut self, solver: &mut Solver) -> bool {
         solver.reserve_vars(self.num_vars);
+        solver.reserve_clauses(self.pending_ends.len(), self.pending_lits.len());
         let mut ok = true;
-        for c in &self.clauses[self.flushed..] {
-            ok &= solver.add_clause(c);
+        let mut start = 0;
+        for &end in &self.pending_ends {
+            ok &= solver.add_clause(&self.pending_lits[start..end]);
+            start = end;
         }
-        self.flushed = self.clauses.len();
+        self.pending_lits.clear();
+        self.pending_ends.clear();
         ok
     }
 
     /// Number of clauses not yet shipped by [`CnfBuilder::flush_into`].
     pub fn pending_clauses(&self) -> usize {
-        self.clauses.len() - self.flushed
-    }
-
-    /// Access to the raw clauses (used by the DIMACS writer and tests).
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+        self.pending_ends.len()
     }
 }
 

@@ -7,15 +7,18 @@
 //! * [`Solver`] — a conflict-driven clause-learning (CDCL) solver with
 //!   two-watched-literal propagation, first-UIP clause learning, VSIDS
 //!   branching with phase saving, Luby restarts, and learnt-clause database
-//!   reduction. Clauses may be added between [`Solver::solve`] calls, which
+//!   reduction. All clauses live in one flat `u32` arena addressed by
+//!   offset, compacted once deleted learnt clauses fill half of it.
+//!   Clauses may be added between [`Solver::solve`] calls, which
 //!   is how BEER enumerates every parity-check matrix consistent with a
 //!   miscorrection profile (each found model is blocked and the solver is
 //!   re-run).
 //! * [`CnfBuilder`] — a circuit-to-CNF layer with memoized Tseitin gates
 //!   (AND/OR/XOR/IFF), cardinality constraints, and the lexicographic row
-//!   ordering used to canonicalize parity-check matrices. Builders can
-//!   flush incrementally into a live solver ([`CnfBuilder::flush_into`]),
-//!   keeping their gate memoization across flushes.
+//!   ordering used to canonicalize parity-check matrices. A builder holds
+//!   only the clauses it has not yet shipped; it flushes incrementally into
+//!   a live solver ([`CnfBuilder::flush_into`]), keeping its gate
+//!   memoization across flushes.
 //! * [`SolverSession`] — incremental solving with assumption-scoped,
 //!   retractable constraint groups: the substrate of BEER's progressive
 //!   collect-and-solve pipeline (§6.3), where each uniqueness check's

@@ -1,24 +1,26 @@
 //! The CDCL solver core.
 //!
-//! A conventional MiniSat-style architecture: clauses live in a slotted
-//! arena, propagation uses two watched literals with a blocker fast path,
-//! conflicts are analyzed to the first unique implication point (1UIP) with
-//! reason-based clause minimization, branching uses exponential VSIDS with
-//! phase saving, and restarts follow the Luby sequence.
+//! A conventional MiniSat-style architecture: clauses live in one flat
+//! arena of `u32` words, propagation uses two watched literals with a
+//! blocker fast path, conflicts are analyzed to the first unique
+//! implication point (1UIP) with reason-based clause minimization,
+//! branching uses exponential VSIDS with phase saving, and restarts follow
+//! the Luby sequence.
 
 use crate::types::{LBool, Lit, Var};
 
-/// Index of a clause in the solver's arena.
+/// Offset of a clause's header word in the solver's arena.
 type ClauseRef = u32;
 const CREF_UNDEF: ClauseRef = u32::MAX;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-}
+// Arena layout of one clause: a header word (length << LEN_SHIFT | flags),
+// the activity as an `f64` split over two words (low half first), then
+// the literal words.
+const HEADER_WORDS: usize = 3;
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+const LEN_SHIFT: u32 = 2;
+const MAX_CLAUSE_LEN: u32 = u32::MAX >> LEN_SHIFT;
 
 #[derive(Clone, Copy)]
 struct Watcher {
@@ -58,6 +60,10 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Total restarts performed.
     pub restarts: u64,
+    /// Learnt-clause database reductions performed.
+    pub reductions: u64,
+    /// Clause-arena compactions performed.
+    pub compactions: u64,
     /// Approximate heap memory owned by the solver, in bytes.
     pub memory_bytes: usize,
 }
@@ -85,10 +91,14 @@ pub struct SolverStats {
 /// assert_eq!(s.solve(), SatResult::Unsat);
 /// ```
 pub struct Solver {
-    clauses: Vec<Clause>,
-    free_list: Vec<ClauseRef>,
+    /// Every clause, back to back (see the layout constants above).
+    arena: Vec<u32>,
+    /// Arena words held by deleted clauses, reclaimed by `compact`.
+    wasted: usize,
     learnt_refs: Vec<ClauseRef>,
     watches: Vec<Vec<Watcher>>,
+    /// Reused by `add_clause` to normalize incoming literals.
+    add_scratch: Vec<Lit>,
 
     assigns: Vec<LBool>,
     polarity: Vec<bool>,
@@ -122,14 +132,26 @@ impl Default for Solver {
     }
 }
 
+/// Value of `l` under the assignment `assigns`.
+#[inline]
+fn value_in(assigns: &[LBool], l: Lit) -> LBool {
+    let v = assigns[l.var().index()];
+    if l.is_positive() {
+        v
+    } else {
+        v.negate()
+    }
+}
+
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
-            free_list: Vec::new(),
+            arena: Vec::new(),
+            wasted: 0,
             learnt_refs: Vec::new(),
             watches: Vec::new(),
+            add_scratch: Vec::new(),
             assigns: Vec::new(),
             polarity: Vec::new(),
             level: Vec::new(),
@@ -173,6 +195,12 @@ impl Solver {
         }
     }
 
+    /// Reserves arena room for `clauses` more clauses holding `lits`
+    /// literals in total, so a bulk load grows the arena once.
+    pub(crate) fn reserve_clauses(&mut self, clauses: usize, lits: usize) {
+        self.arena.reserve(clauses * HEADER_WORDS + lits);
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
@@ -205,10 +233,8 @@ impl Solver {
     fn estimate_memory(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = 0usize;
-        bytes += self.clauses.capacity() * size_of::<Clause>();
-        for c in &self.clauses {
-            bytes += c.lits.capacity() * size_of::<Lit>();
-        }
+        bytes += self.arena.capacity() * size_of::<u32>();
+        bytes += self.learnt_refs.capacity() * size_of::<ClauseRef>();
         bytes += self.watches.capacity() * size_of::<Vec<Watcher>>();
         for w in &self.watches {
             bytes += w.capacity() * size_of::<Watcher>();
@@ -227,16 +253,39 @@ impl Solver {
 
     #[inline]
     fn lit_val(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        value_in(&self.assigns, l)
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
+    }
+
+    #[inline]
+    fn clause_len(&self, cref: ClauseRef) -> usize {
+        (self.arena[cref as usize] >> LEN_SHIFT) as usize
+    }
+
+    #[inline]
+    fn is_learnt(&self, cref: ClauseRef) -> bool {
+        self.arena[cref as usize] & LEARNT != 0
+    }
+
+    /// The `k`-th literal of a clause.
+    #[inline]
+    fn clause_lit(&self, cref: ClauseRef, k: usize) -> Lit {
+        Lit::from_word(self.arena[cref as usize + HEADER_WORDS + k])
+    }
+
+    fn clause_activity(&self, cref: ClauseRef) -> f64 {
+        let at = cref as usize + 1;
+        f64::from_bits(u64::from(self.arena[at]) | u64::from(self.arena[at + 1]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, cref: ClauseRef, activity: f64) {
+        let [b0, b1, b2, b3, b4, b5, b6, b7] = activity.to_bits().to_le_bytes();
+        let at = cref as usize + 1;
+        self.arena[at] = u32::from_le_bytes([b0, b1, b2, b3]);
+        self.arena[at + 1] = u32::from_le_bytes([b4, b5, b6, b7]);
     }
 
     /// Adds a clause. Returns `false` if the formula became trivially
@@ -256,70 +305,78 @@ impl Solver {
         self.cancel_until(0);
         self.model_valid = false;
 
-        let mut ls: Vec<Lit> = lits.to_vec();
-        for &l in &ls {
+        for &l in lits {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} refers to an unknown variable"
             );
         }
+        let mut ls = std::mem::take(&mut self.add_scratch);
+        ls.clear();
+        ls.extend_from_slice(lits);
+        let ok = self.add_normalized(&mut ls);
+        self.add_scratch = ls;
+        ok
+    }
+
+    /// The body of [`Solver::add_clause`], over a scratch copy of the
+    /// literals that it sorts and filters in place.
+    fn add_normalized(&mut self, ls: &mut Vec<Lit>) -> bool {
         ls.sort_unstable();
         ls.dedup();
-        // Tautology or satisfied-at-root check, then strip false-at-root lits.
-        let mut i = 0;
-        while i + 1 < ls.len() {
-            if ls[i].var() == ls[i + 1].var() {
-                return true; // contains l and ¬l: tautology
-            }
-            i += 1;
+        // Tautology (contains l and ¬l), then satisfied-at-root check while
+        // stripping false-at-root literals.
+        if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return true;
         }
-        let mut filtered = Vec::with_capacity(ls.len());
-        for &l in &ls {
-            match self.lit_val(l) {
-                LBool::True => return true, // already satisfied forever
-                LBool::False => {}          // root-level false: drop
-                LBool::Undef => filtered.push(l),
+        let mut satisfied = false;
+        ls.retain(|&l| match value_in(&self.assigns, l) {
+            LBool::True => {
+                satisfied = true;
+                true
             }
+            LBool::False => false,
+            LBool::Undef => true,
+        });
+        if satisfied {
+            return true; // already satisfied forever
         }
-        match filtered.len() {
+        match ls.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(filtered[0], CREF_UNDEF);
+                self.unchecked_enqueue(ls[0], CREF_UNDEF);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_new_clause(filtered, false);
+                self.attach_new_clause(ls, false);
                 self.stats.clauses += 1;
                 true
             }
         }
     }
 
-    fn attach_new_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_new_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let clause = Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-        };
-        let cref = if let Some(slot) = self.free_list.pop() {
-            self.clauses[slot as usize] = clause;
-            slot
-        } else {
-            self.clauses.push(clause);
-            (self.clauses.len() - 1) as ClauseRef
-        };
-        let (l0, l1) = {
-            let c = &self.clauses[cref as usize];
-            (c.lits[0], c.lits[1])
-        };
+        let cref = ClauseRef::try_from(self.arena.len())
+            .ok()
+            .filter(|&c| c != CREF_UNDEF)
+            .expect("clause arena exceeds u32 offsets");
+        let len = u32::try_from(lits.len())
+            .ok()
+            .filter(|&n| n <= MAX_CLAUSE_LEN)
+            .expect("clause too long for the arena header");
+        let flags = if learnt { LEARNT } else { 0 };
+        // Two zero words are an activity of 0.0.
+        self.arena
+            .extend_from_slice(&[len << LEN_SHIFT | flags, 0, 0]);
+        self.arena.extend(lits.iter().map(|l| l.to_word()));
+        let (l0, l1) = (lits[0], lits[1]);
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
         if learnt {
@@ -347,6 +404,7 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_word = (!p).to_word();
 
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
             let mut i = 0;
@@ -361,35 +419,31 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref;
-                if self.clauses[cref as usize].deleted {
-                    continue; // drop watcher of a deleted clause
-                }
+                let at = cref as usize;
+                let header = self.arena[at];
+                debug_assert_eq!(header & DELETED, 0, "watcher of a deleted clause");
+                let lits = at + HEADER_WORDS..at + HEADER_WORDS + (header >> LEN_SHIFT) as usize;
+                let c = &mut self.arena[lits];
                 // Make sure the false literal (¬p) is at position 1.
-                let false_lit = !p;
-                {
-                    let c = &mut self.clauses[cref as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if c[0] == false_word {
+                    c.swap(0, 1);
                 }
-                let first = self.clauses[cref as usize].lits[0];
+                debug_assert_eq!(c[1], false_word);
+                let first = Lit::from_word(c[0]);
                 let w_new = Watcher {
                     cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_val(first) == LBool::True {
+                if first != w.blocker && value_in(&self.assigns, first) == LBool::True {
                     ws[j] = w_new;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref as usize].lits[k];
-                    if self.lit_val(lk) != LBool::False {
-                        let c = &mut self.clauses[cref as usize];
-                        c.lits.swap(1, k);
+                for k in 2..c.len() {
+                    let lk = Lit::from_word(c[k]);
+                    if value_in(&self.assigns, lk) != LBool::False {
+                        c.swap(1, k);
                         self.watches[(!lk).code()].push(w_new);
                         continue 'watchers;
                     }
@@ -430,13 +484,13 @@ impl Solver {
 
         loop {
             debug_assert_ne!(confl, CREF_UNDEF, "reason missing during analyze");
-            if self.clauses[confl as usize].learnt {
+            if self.is_learnt(confl) {
                 self.bump_clause_activity(confl);
             }
             let start = usize::from(p.is_some());
-            let clen = self.clauses[confl as usize].lits.len();
+            let clen = self.clause_len(confl);
             for k in start..clen {
-                let q = self.clauses[confl as usize].lits[k];
+                let q = self.clause_lit(confl, k);
                 let qv = q.var();
                 if !self.seen[qv.index()] && self.level[qv.index()] > 0 {
                     self.bump_var_activity(qv);
@@ -519,14 +573,10 @@ impl Solver {
         if r == CREF_UNDEF {
             return false;
         }
-        let c = &self.clauses[r as usize];
-        for &q in &c.lits[1..] {
-            let qi = q.var().index();
-            if !self.seen[qi] && self.level[qi] > 0 {
-                return false;
-            }
-        }
-        true
+        (1..self.clause_len(r)).all(|k| {
+            let qi = self.clause_lit(r, k).var().index();
+            self.seen[qi] || self.level[qi] == 0
+        })
     }
 
     fn cancel_until(&mut self, target: u32) {
@@ -558,11 +608,12 @@ impl Solver {
     }
 
     fn bump_clause_activity(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for r in &self.learnt_refs {
-                self.clauses[*r as usize].activity *= 1e-20;
+        let activity = self.clause_activity(cref) + self.cla_inc;
+        self.set_clause_activity(cref, activity);
+        if activity > 1e20 {
+            for i in 0..self.learnt_refs.len() {
+                let r = self.learnt_refs[i];
+                self.set_clause_activity(r, self.clause_activity(r) * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
@@ -584,49 +635,79 @@ impl Solver {
 
     /// Removes the worst half of the learnt clauses (by activity), keeping
     /// clauses that are the reason for a current assignment and binary
-    /// clauses.
+    /// clauses. Compacts the arena once deleted clauses hold more than half
+    /// of its words.
     fn reduce_db(&mut self) {
         let mut refs = std::mem::take(&mut self.learnt_refs);
         refs.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            ca.activity
-                .partial_cmp(&cb.activity)
+            self.clause_activity(a)
+                .partial_cmp(&self.clause_activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let limit = refs.len() / 2;
         let mut kept = Vec::with_capacity(refs.len());
         for (i, &cref) in refs.iter().enumerate() {
-            let keep = {
-                let c = &self.clauses[cref as usize];
-                i >= limit || c.lits.len() == 2 || self.is_locked(cref)
-            };
-            if keep {
+            if i >= limit || self.clause_len(cref) == 2 || self.is_locked(cref) {
                 kept.push(cref);
             } else {
-                // Detach both watchers eagerly: the slot is recycled, so no
-                // stale watcher may keep pointing at it.
-                let (l0, l1) = {
-                    let c = &self.clauses[cref as usize];
-                    (c.lits[0], c.lits[1])
-                };
+                // Detach both watchers eagerly, so no watcher ever points
+                // at a deleted clause and compaction can drop it outright.
+                let (l0, l1) = (self.clause_lit(cref, 0), self.clause_lit(cref, 1));
                 self.watches[(!l0).code()].retain(|w| w.cref != cref);
                 self.watches[(!l1).code()].retain(|w| w.cref != cref);
-                self.clauses[cref as usize].deleted = true;
-                self.clauses[cref as usize].lits = Vec::new();
-                self.free_list.push(cref);
+                self.arena[cref as usize] |= DELETED;
+                self.wasted += HEADER_WORDS + self.clause_len(cref);
                 self.stats.learnts -= 1;
             }
         }
         self.learnt_refs = kept;
+        self.stats.reductions += 1;
+        if 2 * self.wasted > self.arena.len() {
+            self.compact();
+        }
+    }
+
+    /// Copies every live clause, in order, into a fresh arena and rewrites
+    /// each reference to it: watchers, the reasons of assigned variables,
+    /// and the learnt list. Each moved clause's old activity word holds its
+    /// new offset while the references are rewritten.
+    fn compact(&mut self) {
+        let mut to = Vec::with_capacity(self.arena.len() - self.wasted);
+        let mut at = 0;
+        while at < self.arena.len() {
+            let header = self.arena[at];
+            let size = HEADER_WORDS + (header >> LEN_SHIFT) as usize;
+            if header & DELETED == 0 {
+                let moved = ClauseRef::try_from(to.len()).expect("compacted offset fits u32");
+                to.extend_from_slice(&self.arena[at..at + size]);
+                self.arena[at + 1] = moved;
+            }
+            at += size;
+        }
+        let old = std::mem::replace(&mut self.arena, to);
+        let forward = |cref: &mut ClauseRef| {
+            debug_assert_eq!(
+                old[*cref as usize] & DELETED,
+                0,
+                "reference to a deleted clause"
+            );
+            *cref = old[*cref as usize + 1];
+        };
+        self.watches
+            .iter_mut()
+            .flatten()
+            .for_each(|w| forward(&mut w.cref));
+        self.reason
+            .iter_mut()
+            .filter(|r| **r != CREF_UNDEF)
+            .for_each(forward);
+        self.learnt_refs.iter_mut().for_each(forward);
+        self.wasted = 0;
+        self.stats.compactions += 1;
     }
 
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let c = &self.clauses[cref as usize];
-        if c.lits.is_empty() {
-            return false;
-        }
-        let l0 = c.lits[0];
+        let l0 = self.clause_lit(cref, 0);
         self.lit_val(l0) == LBool::True && self.reason[l0.var().index()] == cref
     }
 
@@ -682,7 +763,7 @@ impl Solver {
                     self.unchecked_enqueue(learnt[0], CREF_UNDEF);
                 } else {
                     let asserting = learnt[0];
-                    let cref = self.attach_new_clause(learnt, true);
+                    let cref = self.attach_new_clause(&learnt, true);
                     self.bump_clause_activity(cref);
                     self.unchecked_enqueue(asserting, cref);
                 }

@@ -99,6 +99,18 @@ impl Lit {
         Lit(code as u32)
     }
 
+    /// The encoded word (`2·var + sign`), as stored in the clause arena.
+    #[inline]
+    pub(crate) fn to_word(self) -> u32 {
+        self.0
+    }
+
+    /// Inverse of [`Lit::to_word`].
+    #[inline]
+    pub(crate) fn from_word(word: u32) -> Self {
+        Lit(word)
+    }
+
     /// DIMACS representation: 1-based, negative when negated.
     pub fn to_dimacs(self) -> i64 {
         let v = (self.var().index() + 1) as i64;

@@ -392,6 +392,7 @@ pub struct ServiceObs {
     phase_collect: Arc<Histogram>,
     phase_preprocess: Arc<Histogram>,
     phase_encode: Arc<Histogram>,
+    phase_load: Arc<Histogram>,
     phase_solve: Arc<Histogram>,
     dram_sim: Arc<Histogram>,
 }
@@ -410,6 +411,7 @@ impl ServiceObs {
             phase_collect: registry.histogram("pipeline_collect_ns"),
             phase_preprocess: registry.histogram("pipeline_preprocess_ns"),
             phase_encode: registry.histogram("pipeline_encode_ns"),
+            phase_load: registry.histogram("pipeline_load_ns"),
             phase_solve: registry.histogram("pipeline_solve_ns"),
             dram_sim: registry.histogram("dram_sim_ns"),
             recorder: FlightRecorder::new(FLIGHT_CAPACITY),
@@ -1390,6 +1392,7 @@ fn worker_loop(inner: &Inner) {
                 o.record(&o.phase_collect, phases.collect);
                 o.record(&o.phase_preprocess, phases.preprocess);
                 o.record(&o.phase_encode, phases.encode);
+                o.record(&o.phase_load, phases.load);
                 o.record(&o.phase_solve, phases.solve);
                 // Simulated DRAM time is a separate axis from the host
                 // phases: only timed backends report it, so the series

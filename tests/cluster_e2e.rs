@@ -129,6 +129,7 @@ fn forwarded_job_reports_one_trace_id_on_both_nodes() {
         "pipeline_collect_ns",
         "pipeline_preprocess_ns",
         "pipeline_encode_ns",
+        "pipeline_load_ns",
         "pipeline_solve_ns",
         "service_queue_wait_ns",
         "service_solve_ns",

@@ -112,7 +112,7 @@ pub fn parity_bits_of_len(n: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `codeword_len` is unsupported (see [`parity_bits_of_len`]) or
+/// Panics if `codeword_len` is unsupported (see `parity_bits_of_len`) or
 /// more errors are requested than codeword bits.
 pub fn evaluate(config: &EvalConfig) -> EvalOutcome {
     let p = parity_bits_of_len(config.codeword_len);

@@ -1,5 +1,5 @@
 //! Network scale proof: jobs/sec and cache-hit latency through the full
-//! `beer-wire v1` stack — real TCP clients over loopback against one
+//! `beer-wire` stack — real TCP clients over loopback against one
 //! `NetServer`-fronted service.
 //!
 //! Two modes per client count (1 / 8 / 64):
@@ -173,6 +173,17 @@ impl ProfileSource for GateSource {
     }
 }
 
+/// Releases a [`GateSource`] when dropped, so a failing assertion in the
+/// connection-scaling cell unwinds instead of leaving the worker parked
+/// (dropping the service joins its workers).
+struct GateRelease(Arc<AtomicBool>);
+
+impl Drop for GateRelease {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 const MAX_FRAME: usize = 1 << 20;
 
 /// Connects a raw wire-speaking socket and completes the Hello handshake.
@@ -278,6 +289,7 @@ fn conn_scaling_cell(conns: usize, probes: usize) -> ConnScalingCell {
     let gate = GateSource {
         released: Arc::new(AtomicBool::new(false)),
     };
+    let _release = GateRelease(Arc::clone(&gate.released));
     let gate_job = service
         .submit(JobRequest::source("warden", "gate", Box::new(gate.clone())))
         .expect("gate admitted");
@@ -379,7 +391,7 @@ fn main() {
     let scale = Scale::from_env();
     banner(
         "net_throughput",
-        "beer-wire v1 over loopback: jobs/sec and cache-hit latency",
+        "beer-wire over loopback: jobs/sec and cache-hit latency",
         "dedup decouples wire throughput from solver cost; remote cache hits stay sub-ms",
     );
 

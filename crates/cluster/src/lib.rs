@@ -22,7 +22,7 @@
 //!   them, then installs the epoch-1 [`Ring`] built from the bound
 //!   addresses on every node (two-phase: addresses exist only after
 //!   bind). [`Cluster::install_ring`] swaps membership at a higher
-//!   epoch; v3 peers learn of it via `RingChanged` pushes.
+//!   epoch; connected clients learn of it via `RingChanged` pushes.
 //! * Server-side forwarding (in `beer_net`) — a non-owner node holding
 //!   the trace proxies the submit to the owner over beer-wire and
 //!   relays events and the result back; the proxied submit travels as
@@ -200,7 +200,7 @@ impl Cluster {
         &self.ring
     }
 
-    /// Installs `ring` on every node (v3 peers are pushed a
+    /// Installs `ring` on every node (every connected peer is pushed a
     /// `RingChanged`). The caller owns epoch discipline: clients only
     /// adopt rings with a *higher* epoch than the one they hold.
     pub fn install_ring(&mut self, ring: Ring) {

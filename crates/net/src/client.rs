@@ -1,4 +1,4 @@
-//! A typed, blocking `beer-wire v1` client.
+//! A typed, blocking `beer-wire` client.
 //!
 //! [`Client`] owns one connection and the state needed to survive losing
 //! it: every submitted trace is retained by fingerprint, so when the
@@ -104,6 +104,13 @@ pub fn backoff_delay(attempt: u32, base: Duration, cap: Duration, jitter: u64) -
     Duration::from_nanos(half + jitter % (exp_ns - half + 1))
 }
 
+/// A deadline in whole milliseconds for the wire, saturating at
+/// `u64::MAX` instead of wrapping (the server then treats it as no
+/// deadline rather than a short one).
+fn deadline_ms(deadline: Duration) -> u64 {
+    u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX)
+}
+
 /// Why a client call failed.
 #[derive(Debug)]
 pub enum ClientError {
@@ -177,21 +184,19 @@ pub struct RemoteJob {
     /// The deadline the job was submitted with. A resume re-applies the
     /// full duration (the clock restarts from the re-submission).
     pub deadline: Option<Duration>,
-    /// The trace id the submit carried (v4+ servers only). A resume
-    /// re-submits under the same id, so the whole retry chain
-    /// correlates in every node's flight recorder.
+    /// The trace id the submit carried. A resume re-submits under the
+    /// same id, so the whole retry chain correlates in every node's
+    /// flight recorder.
     pub trace_id: Option<u128>,
 }
 
-/// A typed, blocking `beer-wire v1` client (see the module docs).
+/// A typed, blocking `beer-wire` client (see the module docs).
 pub struct Client {
     addr: String,
     tenant: String,
     token: String,
     config: ClientConfig,
     stream: Option<TcpStream>,
-    /// Protocol version negotiated by the last Hello.
-    version: u16,
     /// Traces submitted through this client, retained for resume.
     traces: HashMap<Fingerprint, Arc<ProfileTrace>>,
     /// The newest cluster ring learned from HelloAck / RingChanged.
@@ -235,18 +240,12 @@ impl Client {
             token: token.into(),
             config,
             stream: None,
-            version: 0,
             traces: HashMap::new(),
             ring: None,
             rng: seeder.finish() | 1,
         };
         client.reconnect()?;
         Ok(client)
-    }
-
-    /// The protocol version negotiated with the server.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// The tenant this client authenticated as.
@@ -295,14 +294,13 @@ impl Client {
         stream.set_write_timeout(Some(self.config.write_timeout))?;
         self.stream = Some(stream);
         let hello = Message::Hello {
-            min_version: 1,
+            min_version: wire::WIRE_VERSION,
             max_version: wire::WIRE_VERSION,
             tenant: self.tenant.clone(),
             token: self.token.clone(),
         };
         match self.roundtrip_raw(&hello)? {
-            Message::HelloAck { version, ring, .. } => {
-                self.version = version;
+            Message::HelloAck { ring, .. } => {
                 if let Some(ring) = ring {
                     self.adopt_ring(ring);
                 }
@@ -493,7 +491,7 @@ impl Client {
         self.upload(trace)
     }
 
-    /// Submits a trace as an *already-forwarded* cluster job (wire v3's
+    /// Submits a trace as an *already-forwarded* cluster job (the wire's
     /// `SubmitForwarded`): the receiving node must own the fingerprint
     /// and will answer [`ErrorKind::WrongNode`] instead of forwarding
     /// again if it does not — the cluster's loop guard. `epoch` is the
@@ -516,13 +514,10 @@ impl Client {
         self.traces
             .entry(fingerprint)
             .or_insert_with(|| Arc::new(trace.clone()));
-        // A v3 receiver has no v4 tags; the id is dropped rather than
-        // the submit refused — correlation degrades, forwarding works.
-        let trace_id = trace_id.filter(|_| self.version >= 4);
         let submit = Message::SubmitForwarded {
             fingerprint,
             priority,
-            deadline_ms: deadline.map(|d| d.as_millis() as u64),
+            deadline_ms: deadline.map(deadline_ms),
             epoch,
             trace_id,
         };
@@ -563,9 +558,9 @@ impl Client {
     }
 
     /// Submits by fingerprint, uploading the retained trace when the
-    /// server asks for it. On a v4 server a missing `trace_id` is
-    /// minted here — the submission end of the trace — so the id exists
-    /// before the frame leaves this process.
+    /// server asks for it. A missing `trace_id` is minted here — the
+    /// submission end of the trace — so the id exists before the frame
+    /// leaves this process.
     fn submit_fingerprint(
         &mut self,
         fingerprint: Fingerprint,
@@ -573,15 +568,11 @@ impl Client {
         deadline: Option<Duration>,
         trace_id: Option<u128>,
     ) -> Result<RemoteJob, ClientError> {
-        let trace_id = match trace_id {
-            Some(id) if self.version >= 4 => Some(id),
-            None if self.version >= 4 => Some(TraceId::mint().0),
-            _ => None,
-        };
+        let trace_id = Some(trace_id.unwrap_or_else(|| TraceId::mint().0));
         let submit = Message::Submit {
             fingerprint,
             priority,
-            deadline_ms: deadline.map(|d| d.as_millis() as u64),
+            deadline_ms: deadline.map(deadline_ms),
             trace_id,
         };
         let mut uploaded = false;
@@ -765,44 +756,14 @@ impl Client {
         }
     }
 
-    /// Every registered code with the given dimensions.
+    /// One page of the codes with the given dimensions. Pass `None` to
+    /// start, then each answer's `next_cursor` to resume; `limit` 0
+    /// accepts the server's page cap.
     ///
     /// # Errors
     ///
-    /// Typed refusals and transport failures.
-    pub fn query_dims(&mut self, n: u32, k: u32) -> Result<Vec<WireCodeEntry>, ClientError> {
-        match self.roundtrip(&Message::QueryDims { n, k })? {
-            Message::DimsInfo { entries } => Ok(entries),
-            Message::Error { kind, detail } => Err(ClientError::Refused { kind, detail }),
-            _ => Err(ClientError::Protocol {
-                expected: "DimsInfo",
-            }),
-        }
-    }
-
-    /// Every registered code with the given canonical hash.
-    ///
-    /// # Errors
-    ///
-    /// Typed refusals and transport failures.
-    pub fn query_hash(&mut self, hash: u64) -> Result<Vec<WireCodeEntry>, ClientError> {
-        match self.roundtrip(&Message::QueryHash { hash })? {
-            Message::HashInfo { entries } => Ok(entries),
-            Message::Error { kind, detail } => Err(ClientError::Refused { kind, detail }),
-            _ => Err(ClientError::Protocol {
-                expected: "HashInfo",
-            }),
-        }
-    }
-
-    /// One page of the codes with the given dimensions (protocol v2).
-    /// Pass `None` to start, then each answer's `next_cursor` to resume;
-    /// `limit` 0 accepts the server's page cap.
-    ///
-    /// # Errors
-    ///
-    /// Typed refusals (including [`ErrorKind::BadRequest`] on a v1
-    /// server or a stale cursor) and transport failures.
+    /// Typed refusals (including [`ErrorKind::BadRequest`] on a stale
+    /// or tampered cursor) and transport failures.
     pub fn query_dims_page(
         &mut self,
         n: u32,
@@ -827,8 +788,8 @@ impl Client {
         }
     }
 
-    /// One page of the codes with the given canonical hash (protocol
-    /// v2). Cursor semantics match [`NetClient::query_dims_page`].
+    /// One page of the codes with the given canonical hash. Cursor
+    /// semantics match [`Client::query_dims_page`].
     ///
     /// # Errors
     ///
@@ -855,18 +816,13 @@ impl Client {
         }
     }
 
-    /// Every code with the given dimensions, paging to completion on a
-    /// v2 server. Against a v1 server this falls back to the single
-    /// capped [`NetClient::query_dims`] answer (which may be truncated
-    /// at the server's cap — v1 has no way past it).
+    /// Every registered code with the given dimensions, paging to
+    /// completion at the server's page cap.
     ///
     /// # Errors
     ///
     /// Typed refusals and transport failures.
-    pub fn query_dims_all(&mut self, n: u32, k: u32) -> Result<Vec<WireCodeEntry>, ClientError> {
-        if self.version < 2 {
-            return self.query_dims(n, k);
-        }
+    pub fn query_dims(&mut self, n: u32, k: u32) -> Result<Vec<WireCodeEntry>, ClientError> {
         let mut all = Vec::new();
         let mut cursor = None;
         loop {
@@ -879,17 +835,13 @@ impl Client {
         }
     }
 
-    /// Every code with the given canonical hash, paging to completion on
-    /// a v2 server; falls back to the capped [`NetClient::query_hash`]
-    /// on v1.
+    /// Every registered code with the given canonical hash, paging to
+    /// completion at the server's page cap.
     ///
     /// # Errors
     ///
     /// Typed refusals and transport failures.
-    pub fn query_hash_all(&mut self, hash: u64) -> Result<Vec<WireCodeEntry>, ClientError> {
-        if self.version < 2 {
-            return self.query_hash(hash);
-        }
+    pub fn query_hash(&mut self, hash: u64) -> Result<Vec<WireCodeEntry>, ClientError> {
         let mut all = Vec::new();
         let mut cursor = None;
         loop {
@@ -909,7 +861,7 @@ impl Client {
     /// Typed refusals and transport failures.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
         match self.roundtrip(&Message::QueryStats)? {
-            Message::StatsInfo(stats) | Message::StatsInfoV3(stats) => Ok(stats),
+            Message::StatsInfo(stats) => Ok(stats),
             Message::Error { kind, detail } => Err(ClientError::Refused { kind, detail }),
             _ => Err(ClientError::Protocol {
                 expected: "StatsInfo",
@@ -917,26 +869,14 @@ impl Client {
         }
     }
 
-    /// The node's metrics exposition (v4+): one text block of counters,
+    /// The node's metrics exposition: one text block of counters,
     /// gauges, histogram summaries, and the newest `tail`
     /// flight-recorder events.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Refused`] with
-    /// [`ErrorKind::UnsupportedVersion`] against a pre-v4 server (the
-    /// check is client-side — the server has no frame to misread),
-    /// plus the usual typed refusals and transport failures.
+    /// Typed refusals and transport failures.
     pub fn query_metrics(&mut self, tail: u32) -> Result<String, ClientError> {
-        if self.version < 4 {
-            return Err(ClientError::Refused {
-                kind: ErrorKind::UnsupportedVersion {
-                    min: wire::WIRE_MIN_VERSION,
-                    max: self.version,
-                },
-                detail: "metrics queries need protocol v4".to_string(),
-            });
-        }
         match self.roundtrip(&Message::QueryMetrics { tail })? {
             Message::MetricsInfo { text } => Ok(text),
             Message::Error { kind, detail } => Err(ClientError::Refused { kind, detail }),
@@ -957,8 +897,21 @@ impl Client {
 
 #[cfg(test)]
 mod tests {
-    use super::backoff_delay;
+    use super::{backoff_delay, deadline_ms};
     use std::time::Duration;
+
+    #[test]
+    fn deadlines_saturate_instead_of_wrapping() {
+        assert_eq!(deadline_ms(Duration::from_millis(1500)), 1500);
+        assert_eq!(deadline_ms(Duration::from_millis(u64::MAX)), u64::MAX);
+        // 18,446,744,073,709,552 s is 385 ms past u64::MAX ms: a plain
+        // cast would send it as a 384 ms deadline.
+        assert_eq!(
+            deadline_ms(Duration::from_secs(18_446_744_073_709_552)),
+            u64::MAX
+        );
+        assert_eq!(deadline_ms(Duration::MAX), u64::MAX);
+    }
 
     const BASE: Duration = Duration::from_millis(10);
     const CAP: Duration = Duration::from_secs(2);

@@ -6,17 +6,18 @@
 //! *many* remote clients, most of whom ask about profiles somebody else
 //! already solved. This crate is that network edge, in three layers:
 //!
-//! * [`wire`] — `beer-wire v1`, a versioned, length-prefixed binary
-//!   format hand-rolled over `std`: Hello/HelloAck version negotiation,
-//!   chunked trace upload keyed by
+//! * [`wire`] — `beer-wire`, a versioned, length-prefixed binary
+//!   format hand-rolled over `std`: a Hello/HelloAck handshake that
+//!   accepts exactly one protocol version ([`WIRE_VERSION`]), chunked
+//!   trace upload keyed by
 //!   [`ProfileTrace::fingerprint`](beer_core::trace::ProfileTrace::fingerprint),
-//!   submit/watch/cancel, registry queries, stats, and typed error
-//!   frames mirroring the service's [`Rejected`](beer_service::Rejected)
-//!   backpressure. Decoding is total — corrupt, truncated, oversized,
-//!   and unknown-future frames are typed [`wire::WireError`]s, never
-//!   panics.
-//! * [`server`] — [`NetServer`](server::NetServer), an event-driven TCP
-//!   front for a [`RecoveryService`](beer_service::RecoveryService): one
+//!   submit/watch/cancel, paginated registry queries, stats, metrics,
+//!   and typed error frames mirroring the service's
+//!   [`Rejected`](beer_service::Rejected) backpressure. Decoding is
+//!   total — corrupt, truncated, oversized, and unknown-future frames
+//!   are typed [`wire::WireError`]s, never panics.
+//! * [`server`] — [`NetServer`], an event-driven TCP front for a
+//!   [`RecoveryService`](beer_service::RecoveryService): one
 //!   [`reactor`] thread multiplexes every connection over epoll
 //!   (nonblocking sockets, per-connection state machines, pooled frame
 //!   buffers, vectored writes), so thousands of idle watchers cost no
@@ -27,12 +28,12 @@
 //!   ([`reactor::Poller`]), an eventfd [`reactor::Waker`] that delivers
 //!   job events to watching connections without polling, and the
 //!   [`reactor::BufPool`] of reusable frame buffers.
-//! * [`ring`] — the cluster hash [`Ring`](ring::Ring): epoch-numbered
+//! * [`ring`] — the cluster hash [`Ring`]: epoch-numbered
 //!   consistent-hash membership over trace fingerprints, shared by the
 //!   server (ownership checks, forwarding), the client (direct routing),
-//!   and `beer_cluster`. Wire v3 carries it in `HelloAck` and pushes
+//!   and `beer_cluster`. The wire carries it in `HelloAck` and pushes
 //!   changes as `RingChanged`.
-//! * [`client`] — [`Client`](client::Client), a typed blocking client
+//! * [`client`] — [`Client`], a typed blocking client
 //!   that retains submitted traces and *resumes by fingerprint* after a
 //!   dropped connection: the service's dedup re-attaches it to the
 //!   in-flight job (or its cached result) instead of re-solving.

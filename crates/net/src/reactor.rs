@@ -271,7 +271,7 @@ unsafe impl Sync for Waker {}
 /// Two bounds keep it honest: at most `max_pooled` buffers are retained
 /// (excess ones just drop), and a buffer that grew past
 /// `max_buf_capacity` is dropped rather than pooled, so one giant
-/// DimsInfo answer cannot pin its high-water allocation forever.
+/// query page cannot pin its high-water allocation forever.
 pub struct BufPool {
     bufs: Vec<Vec<u8>>,
     max_pooled: usize,

@@ -54,9 +54,7 @@ use crate::wire::{
 };
 use beer_core::trace::{Fingerprint, ProfileTrace, TraceAssembler};
 use beer_obs::TraceId;
-use beer_service::{
-    CodeEntry, JobEvent, JobId, JobRequest, Priority, RecoveryService, ServiceObs, ServiceStats,
-};
+use beer_service::{CodeEntry, JobEvent, JobId, JobRequest, Priority, RecoveryService, ServiceObs};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -73,7 +71,7 @@ use std::time::{Duration, Instant};
 pub struct ClusterConfig {
     /// This node's ring member name. A submit whose fingerprint this
     /// member does not own is forwarded to the owner (trace in hand) or
-    /// redirected with a typed [`ErrorKind::WrongNode`] (v3 peers).
+    /// redirected with a typed [`ErrorKind::WrongNode`].
     pub member: String,
     /// Tenant that node-to-node forwarded submissions authenticate as
     /// on the owning peer.
@@ -139,10 +137,10 @@ pub struct NetServerConfig {
     /// it the queue is dropped, a typed [`ErrorKind::Busy`] goes out,
     /// and the connection closes — a slow reader can stall only itself.
     pub max_write_buffer: usize,
-    /// Entries one registry query answer may carry (a larger answer
-    /// would outgrow the peer's frame cap anyway). An answer carrying
-    /// exactly this many entries may be truncated; truncations are
-    /// counted in [`ServiceStats::truncated_answers`].
+    /// Entries one registry query page may carry (a larger page would
+    /// outgrow the peer's frame cap), and the page size when a query asks
+    /// for limit 0. Queries page past it with a cursor; nothing is
+    /// truncated.
     pub max_query_entries: usize,
     /// Human-readable server identity sent in HelloAck.
     pub server_name: String,
@@ -204,7 +202,7 @@ impl NetServerConfig {
         self
     }
 
-    /// Overrides the registry query answer cap.
+    /// Overrides the registry query page cap.
     pub fn with_max_query_entries(mut self, max: usize) -> Self {
         self.max_query_entries = max;
         self
@@ -291,7 +289,7 @@ struct Shared {
     /// The cluster hash ring (cluster mode only; epoch-numbered, swapped
     /// whole by [`NetServer::set_ring`]).
     ring: Mutex<Option<Arc<Ring>>>,
-    /// A new ring is waiting to be pushed to v3 peers as `RingChanged`.
+    /// A new ring is waiting to be pushed to every peer as `RingChanged`.
     ring_push: AtomicBool,
     /// Forwarding work queue (cluster mode only).
     forward: Option<Arc<ForwardHub>>,
@@ -546,8 +544,8 @@ impl ForwardHub {
     }
 }
 
-/// A TCP server exposing a [`RecoveryService`] over `beer-wire v1` (see
-/// the module docs).
+/// A TCP server exposing a [`RecoveryService`] over `beer-wire` (see the
+/// module docs).
 pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -643,8 +641,8 @@ impl NetServer {
     }
 
     /// Installs (or replaces) the cluster hash ring. Takes effect for
-    /// the next frame on every connection; v3 peers are additionally
-    /// pushed a `RingChanged` frame. Rings carry an epoch so clients
+    /// the next frame on every connection, and every authenticated peer
+    /// is pushed a `RingChanged` frame. Rings carry an epoch so clients
     /// can recognize staleness; installing an older epoch is allowed
     /// (the server trusts its operator) but clients will not adopt it.
     pub fn set_ring(&self, ring: Ring) {
@@ -676,24 +674,24 @@ impl NetServer {
         if self.reactor_thread.is_none() {
             return;
         }
-        let deadline = Instant::now() + drain;
+        // A drain too long to represent as an instant waits unbounded.
+        let deadline = Instant::now().checked_add(drain);
+        let remaining = || match deadline {
+            Some(at) => at.saturating_duration_since(Instant::now()),
+            None => drain,
+        };
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.wake.waker.wake();
-        let _ = self
-            .shared
-            .service
-            .wait_idle(deadline.saturating_duration_since(Instant::now()));
+        let _ = self.shared.service.wait_idle(remaining());
         // Wait for watchers to collect their terminal frames and for
         // write queues to flush, as reported by the reactor.
         {
             let mut gauge = lock(&self.shared.drain_gauge);
             while *gauge != (0, 0) {
-                let Some(remaining) = deadline
-                    .checked_duration_since(Instant::now())
-                    .filter(|d| !d.is_zero())
-                else {
+                let remaining = remaining();
+                if remaining.is_zero() {
                     break;
-                };
+                }
                 let (g, _) = self
                     .shared
                     .drain_cv
@@ -763,10 +761,6 @@ struct Conn {
     stream: TcpStream,
     token: u64,
     authed: bool,
-    /// Protocol version negotiated at Hello (0 before the handshake).
-    /// Gates v2-only frames: a v1 peer sending a paginated query gets a
-    /// typed BadRequest, not a silent downgrade.
-    version: u16,
     tenant: String,
     /// Job ids issued on this connection — the only ids it may watch or
     /// cancel (tenancy isolation at the wire edge).
@@ -813,7 +807,6 @@ impl Conn {
             stream,
             token,
             authed: false,
-            version: 0,
             tenant: String::new(),
             jobs: HashSet::new(),
             forwarded: HashMap::new(),
@@ -1205,7 +1198,7 @@ impl Reactor {
         self.finish(idx);
     }
 
-    /// Pushes the freshly installed ring to every authed v3 peer.
+    /// Pushes the freshly installed ring to every authed peer.
     fn broadcast_ring(&mut self) {
         let Some(ring) = lock(&self.shared.ring).clone() else {
             return;
@@ -1213,7 +1206,7 @@ impl Reactor {
         let config = self.shared.config.clone();
         for idx in 0..self.conns.len() {
             let queued = match self.conns[idx].as_mut() {
-                Some(conn) if conn.authed && conn.version >= 3 && !conn.dead => {
+                Some(conn) if conn.authed && !conn.dead => {
                     conn.queue(
                         &mut self.pool,
                         &config,
@@ -1409,8 +1402,8 @@ impl Reactor {
 fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, message: Message) {
     let config = &shared.config;
     conn.last_activity = Instant::now();
-    // Handshake state: the first frame must be a Hello that negotiates
-    // and authenticates.
+    // Handshake state: the first frame must be a Hello whose version range
+    // contains WIRE_VERSION and whose credentials authenticate.
     if !conn.authed {
         match message {
             Message::Hello {
@@ -1419,24 +1412,23 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 tenant,
                 token,
             } => {
-                let Some(version) = wire::negotiate(min_version, max_version) else {
+                let version = wire::WIRE_VERSION;
+                if !(min_version..=max_version).contains(&version) {
                     conn.queue_error(
                         pool,
                         config,
                         ErrorKind::UnsupportedVersion {
-                            min: wire::WIRE_MIN_VERSION,
-                            max: wire::WIRE_VERSION,
+                            min: version,
+                            max: version,
                         },
                         format!(
-                            "no common version: client speaks {min_version}..={max_version}, \
-                             server speaks {}..={}",
-                            wire::WIRE_MIN_VERSION,
-                            wire::WIRE_VERSION
+                            "client speaks {min_version}..={max_version}, \
+                             server speaks only {version}"
                         ),
                     );
                     conn.close_after_flush = true;
                     return;
-                };
+                }
                 if !shared.service.authenticate(&tenant, &token) {
                     conn.queue_error(
                         pool,
@@ -1447,14 +1439,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                     conn.close_after_flush = true;
                     return;
                 }
-                // v3 peers learn the cluster ring in the handshake; the
-                // ring rides HelloAck as bare trailing bytes, so a
-                // ringless v3 ack is byte-identical to v2's.
-                let ring = if version >= 3 {
-                    lock(&shared.ring).clone().map(|r| (*r).clone())
-                } else {
-                    None
-                };
+                let ring = lock(&shared.ring).clone().map(|r| (*r).clone());
                 conn.queue(
                     pool,
                     config,
@@ -1466,7 +1451,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 );
                 conn.tenant = tenant;
                 conn.authed = true;
-                conn.version = version;
             }
             _ => {
                 conn.queue_error(
@@ -1565,17 +1549,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
             deadline_ms,
             trace_id,
         } => {
-            // The v4 tag from a pre-v4 peer is a protocol violation —
-            // negotiation already settled what this connection speaks.
-            if trace_id.is_some() && conn.version < 4 {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::BadRequest,
-                    "trace ids need protocol v4",
-                );
-                return;
-            }
             if shared.draining.load(Ordering::SeqCst) {
                 conn.queue_error(
                     pool,
@@ -1587,7 +1560,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
             }
             // Cluster routing: a fingerprint this node does not own is
             // proxied to its owner (trace in hand) or redirected with a
-            // typed WrongNode so a ring-aware client can re-dial.
+            // typed WrongNode so the client can re-dial.
             if let (Some(cluster), Some(ring)) = (&config.cluster, lock(&shared.ring).clone()) {
                 let owner = ring.owner(fingerprint);
                 if owner.name != cluster.member {
@@ -1629,7 +1602,7 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                                 );
                             }
                         }
-                        None if conn.version >= 3 => {
+                        None => {
                             conn.queue_error(
                                 pool,
                                 config,
@@ -1640,17 +1613,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                                     "fingerprint {fingerprint} is owned by \
                                      {owner_name} at {owner_addr}"
                                 ),
-                            );
-                        }
-                        None => {
-                            // v1/v2 peers know no redirects: ask for the
-                            // trace; once uploaded, the forward path above
-                            // takes it from there.
-                            conn.queue_error(
-                                pool,
-                                config,
-                                ErrorKind::UnknownFingerprint { fingerprint },
-                                "upload the trace before submitting it",
                             );
                         }
                     }
@@ -1674,15 +1636,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
             epoch,
             trace_id,
         } => {
-            if trace_id.is_some() && conn.version < 4 {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::BadRequest,
-                    "trace ids need protocol v4",
-                );
-                return;
-            }
             // The cluster's loop guard: an already-forwarded submit is
             // never forwarded again. A node that does not own the
             // fingerprint answers a typed WrongNode (counted as a
@@ -1696,15 +1649,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 );
                 return;
             };
-            if conn.version < 3 {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::BadRequest,
-                    "forwarded submits need protocol v3",
-                );
-                return;
-            }
             if shared.draining.load(Ordering::SeqCst) {
                 conn.queue_error(
                     pool,
@@ -1803,59 +1747,12 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
                 },
             );
         }
-        Message::QueryDims { n, k } => {
-            let entries = shared.service.lookup_dims(n as usize, k as usize);
-            // Capped: an unbounded answer would outgrow the peer's frame
-            // cap and desynchronize the stream. lookup_dims orders by
-            // hash, so the cap returns a stable prefix; truncations are
-            // counted so operators can tell.
-            if entries.len() > config.max_query_entries {
-                shared.service.note_truncated_answer();
-            }
-            conn.queue(
-                pool,
-                config,
-                &Message::DimsInfo {
-                    entries: entries
-                        .iter()
-                        .take(config.max_query_entries)
-                        .map(wire_entry)
-                        .collect(),
-                },
-            );
-        }
-        Message::QueryHash { hash } => {
-            let entries = shared.service.lookup_hash(hash);
-            if entries.len() > config.max_query_entries {
-                shared.service.note_truncated_answer();
-            }
-            conn.queue(
-                pool,
-                config,
-                &Message::HashInfo {
-                    entries: entries
-                        .iter()
-                        .take(config.max_query_entries)
-                        .map(wire_entry)
-                        .collect(),
-                },
-            );
-        }
         Message::QueryDimsPage {
             n,
             k,
             cursor,
             limit,
         } => {
-            if conn.version < 2 {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::BadRequest,
-                    "paginated queries need protocol v2",
-                );
-                return;
-            }
             let after = match cursor.as_deref().map(|c| parse_dims_cursor(c, n, k)) {
                 None => None,
                 Some(Ok(position)) => Some(position),
@@ -1884,15 +1781,6 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
             cursor,
             limit,
         } => {
-            if conn.version < 2 {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::BadRequest,
-                    "paginated queries need protocol v2",
-                );
-                return;
-            }
             let after = match cursor.as_deref().map(|c| parse_hash_cursor(c, hash)) {
                 None => None,
                 Some(Ok(idx)) => Some(idx),
@@ -1915,27 +1803,10 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
             );
         }
         Message::QueryStats => {
-            let stats: ServiceStats = shared.service.stats();
-            let wire_stats = WireStats::from(stats);
-            // v3 peers get the full gauge set; the legacy StatsInfo
-            // layout is frozen at its 14 v1 counters.
-            let answer = if conn.version >= 3 {
-                Message::StatsInfoV3(wire_stats)
-            } else {
-                Message::StatsInfo(wire_stats)
-            };
-            conn.queue(pool, config, &answer);
+            let stats = WireStats::from(shared.service.stats());
+            conn.queue(pool, config, &Message::StatsInfo(stats));
         }
         Message::QueryMetrics { tail } => {
-            if conn.version < 4 {
-                conn.queue_error(
-                    pool,
-                    config,
-                    ErrorKind::BadRequest,
-                    "metrics queries need protocol v4",
-                );
-                return;
-            }
             let text = shared.service.metrics_text(tail as usize);
             conn.queue(pool, config, &Message::MetricsInfo { text });
         }
@@ -1953,12 +1824,9 @@ fn handle_frame(conn: &mut Conn, pool: &mut BufPool, shared: &Arc<Shared>, messa
         | Message::Done { .. }
         | Message::CancelAck { .. }
         | Message::FingerprintInfo { .. }
-        | Message::DimsInfo { .. }
-        | Message::HashInfo { .. }
         | Message::DimsPage { .. }
         | Message::HashPage { .. }
         | Message::StatsInfo(_)
-        | Message::StatsInfoV3(_)
         | Message::MetricsInfo { .. }
         | Message::RingChanged { .. }
         | Message::Error { .. } => {
@@ -2001,7 +1869,7 @@ fn submit_local(
     if let Some(ms) = deadline_ms {
         request = request.with_deadline(Duration::from_millis(ms));
     }
-    // A wire-carried id (v4 client mint, or a forwarding peer passing
+    // A wire-carried id (a client mint, or a forwarding peer passing
     // the origin's id through) wins; otherwise the service mints one
     // at admission.
     if let Some(trace_id) = trace_id {
@@ -2270,4 +2138,19 @@ fn wire_event(event: &JobEvent) -> Option<WireEvent> {
             detail: format!("{event:?}"),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beer_service::ServiceConfig;
+
+    #[test]
+    fn shutdown_accepts_an_unrepresentable_drain() {
+        let service =
+            Arc::new(RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start"));
+        let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::new()).expect("bind");
+        // Idle: nothing to drain, so even an endless drain returns.
+        server.shutdown(Duration::MAX);
+    }
 }

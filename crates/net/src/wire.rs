@@ -1,4 +1,4 @@
-//! `beer-wire v1`: the versioned, length-prefixed binary wire format.
+//! `beer-wire`: the versioned, length-prefixed binary wire format.
 //!
 //! Every frame is `u32 length (big-endian) ‖ u8 tag ‖ payload`. The
 //! length counts the tag and payload, and a receiver caps it *before*
@@ -23,23 +23,15 @@ use beer_service::{JobState, Priority, Rejected, ServiceStats};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// The protocol version this build speaks. v2 adds cursor-paginated
-/// registry queries (tags 23–26); v1 peers still get the capped,
-/// possibly-truncated [`Message::DimsInfo`]/[`Message::HashInfo`] answers.
-/// v3 adds the cluster surface: [`Message::HelloAck`] carries the hash
-/// ring, [`Message::RingChanged`] pushes membership changes,
-/// [`Message::SubmitForwarded`] is the loop-guarded node-to-node submit,
-/// [`Message::StatsInfoV3`] grows the stats answer, and
-/// [`ErrorKind::WrongNode`] is the typed stale-routing redirect.
-/// v4 adds the observability surface: [`Message::Submit`] and
-/// [`Message::SubmitForwarded`] may carry a 128-bit trace id (new tags
-/// 30/31; the legacy tags still encode the id-less form, so v3 byte
-/// streams are unchanged), and
-/// [`Message::QueryMetrics`]/[`Message::MetricsInfo`] fetch a node's
-/// text metrics exposition.
-pub const WIRE_VERSION: u16 = 4;
-/// The oldest protocol version this build still accepts.
-pub const WIRE_MIN_VERSION: u16 = 1;
+/// The one protocol version this build speaks. The handshake rule: a
+/// server accepts a [`Message::Hello`] iff `min_version ≤ WIRE_VERSION ≤
+/// max_version`, and otherwise answers a typed
+/// [`ErrorKind::UnsupportedVersion`] and closes. The Hello layout never
+/// changes, so a peer from another build always gets that typed refusal
+/// instead of misreading frames. Tags retired from earlier versions
+/// (15–18, 29–31) stay unassigned and decode to
+/// [`WireError::UnknownTag`].
+pub const WIRE_VERSION: u16 = 5;
 /// Magic bytes opening every [`Message::Hello`] payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"BEER";
 /// Default per-frame size cap. Large traces cross the wire as
@@ -69,7 +61,8 @@ pub enum WireError {
         limit: u64,
     },
     /// A tag this protocol version does not define — likely a frame from
-    /// a newer peer. The body is not interpreted at all.
+    /// a peer built for another version, or a retired tag. The body is
+    /// not interpreted at all.
     UnknownTag {
         /// The tag as found.
         tag: u8,
@@ -174,6 +167,15 @@ impl Writer<'_> {
             }
         }
     }
+    fn opt_u128(&mut self, v: Option<u128>) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                self.u128(v);
+            }
+        }
+    }
     fn opt_bytes(&mut self, v: Option<&[u8]>) {
         match v {
             None => self.u8(0),
@@ -244,6 +246,14 @@ impl<'a> Reader<'a> {
     fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, WireError> {
         Ok(if self.boolean(what)? {
             Some(self.u64()?)
+        } else {
+            None
+        })
+    }
+
+    fn opt_u128(&mut self, what: &'static str) -> Result<Option<u128>, WireError> {
+        Ok(if self.boolean(what)? {
+            Some(self.u128()?)
         } else {
             None
         })
@@ -795,20 +805,17 @@ pub struct WireStats {
     pub rejected_unschedulable: u64,
     /// `ShuttingDown` rejections.
     pub rejected_shutting_down: u64,
-    /// Query answers truncated at the entry cap (v3+; zero from older
-    /// servers).
-    pub truncated_answers: u64,
-    /// Live registry log segments (v3+).
+    /// Live registry log segments.
     pub registry_segments: u64,
-    /// Live registry snapshots (v3+).
+    /// Live registry snapshots.
     pub registry_snapshots: u64,
-    /// Registry compactions completed (v3+).
+    /// Registry compactions completed.
     pub registry_compactions: u64,
-    /// Registry compactions failed (v3+).
+    /// Registry compactions failed.
     pub registry_compaction_failures: u64,
-    /// Submissions proxied to their owning cluster node (v3+).
+    /// Submissions proxied to their owning cluster node.
     pub forwarded_jobs: u64,
-    /// Forwarding attempts that failed (v3+).
+    /// Forwarding attempts that failed.
     pub forward_errors: u64,
 }
 
@@ -829,7 +836,6 @@ impl From<ServiceStats> for WireStats {
             rejected_invalid_tenant: s.rejected.invalid_tenant,
             rejected_unschedulable: s.rejected.unschedulable,
             rejected_shutting_down: s.rejected.shutting_down,
-            truncated_answers: s.truncated_answers,
             registry_segments: s.registry_segments as u64,
             registry_snapshots: s.registry_snapshots as u64,
             registry_compactions: s.registry_compactions,
@@ -856,6 +862,12 @@ fn put_stats(w: &mut Writer<'_>, s: &WireStats) {
         s.rejected_invalid_tenant,
         s.rejected_unschedulable,
         s.rejected_shutting_down,
+        s.registry_segments,
+        s.registry_snapshots,
+        s.registry_compactions,
+        s.registry_compaction_failures,
+        s.forwarded_jobs,
+        s.forward_errors,
     ] {
         w.u64(v);
     }
@@ -877,40 +889,13 @@ fn get_stats(r: &mut Reader) -> Result<WireStats, WireError> {
         rejected_invalid_tenant: r.u64()?,
         rejected_unschedulable: r.u64()?,
         rejected_shutting_down: r.u64()?,
-        ..WireStats::default()
+        registry_segments: r.u64()?,
+        registry_snapshots: r.u64()?,
+        registry_compactions: r.u64()?,
+        registry_compaction_failures: r.u64()?,
+        forwarded_jobs: r.u64()?,
+        forward_errors: r.u64()?,
     })
-}
-
-/// The v3 stats payload: the legacy 14 words followed by the registry
-/// and forwarding gauges. A *new* tag rather than trailing fields on
-/// [`Message::StatsInfo`], because the encoding must stay a pure
-/// function of the message and every legacy frame must keep rejecting
-/// trailing bytes.
-fn put_stats_v3(w: &mut Writer<'_>, s: &WireStats) {
-    put_stats(w, s);
-    for v in [
-        s.truncated_answers,
-        s.registry_segments,
-        s.registry_snapshots,
-        s.registry_compactions,
-        s.registry_compaction_failures,
-        s.forwarded_jobs,
-        s.forward_errors,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn get_stats_v3(r: &mut Reader) -> Result<WireStats, WireError> {
-    let mut stats = get_stats(r)?;
-    stats.truncated_answers = r.u64()?;
-    stats.registry_segments = r.u64()?;
-    stats.registry_snapshots = r.u64()?;
-    stats.registry_compactions = r.u64()?;
-    stats.registry_compaction_failures = r.u64()?;
-    stats.forwarded_jobs = r.u64()?;
-    stats.forward_errors = r.u64()?;
-    Ok(stats)
 }
 
 /// The kind of a typed [`Message::Error`] frame. The first five mirror
@@ -940,7 +925,9 @@ pub enum ErrorKind {
     },
     /// The service is draining; no new submissions.
     ShuttingDown,
-    /// Version negotiation failed; the server speaks `[min, max]`.
+    /// The Hello's version range does not contain the server's
+    /// [`WIRE_VERSION`]; the server speaks `[min, max]` (today always
+    /// `min == max == WIRE_VERSION`).
     UnsupportedVersion {
         /// Oldest version the server speaks.
         min: u16,
@@ -966,11 +953,11 @@ pub enum ErrorKind {
     Busy,
     /// The frame sequence violates the protocol (e.g. no Hello first).
     BadRequest,
-    /// (v3+) This node does not own the submitted fingerprint under the
-    /// current ring — resubmit to `owner`. Sent to ring-aware peers
-    /// routing on a stale epoch, and to a peer whose already-forwarded
-    /// submit landed on a non-owner (the loop guard: a forwarded job is
-    /// never forwarded again).
+    /// This node does not own the submitted fingerprint under the
+    /// current ring — resubmit to `owner`. Sent to a client routing on a
+    /// stale epoch that staged no trace here, and to a peer whose
+    /// already-forwarded submit landed on a non-owner (the loop guard: a
+    /// forwarded job is never forwarded again).
     WrongNode {
         /// `host:port` of the owning node.
         owner: String,
@@ -1117,14 +1104,14 @@ pub enum Message {
         /// Tenant auth token (ignored by open services).
         token: String,
     },
-    /// Server → client: negotiation succeeded at `version`.
+    /// Server → client: the handshake succeeded.
     HelloAck {
-        /// The negotiated protocol version.
+        /// The protocol version the connection speaks ([`WIRE_VERSION`]).
         version: u16,
         /// Human-readable server identity.
         server: String,
-        /// (v3+) The cluster ring, when this server is a cluster
-        /// member (a presence byte, then the ring).
+        /// The cluster ring, when this server is a cluster member with a
+        /// ring installed (a presence byte, then the ring).
         ring: Option<Ring>,
     },
     /// Client → server: a chunked trace upload begins.
@@ -1158,9 +1145,8 @@ pub enum Message {
         priority: Priority,
         /// Submission-to-completion deadline in milliseconds.
         deadline_ms: Option<u64>,
-        /// Trace id minted at submission (v4+). `None` encodes the
-        /// legacy v1 tag byte-for-byte; `Some` encodes the v4 tag, so
-        /// the mapping between value and bytes stays bijective.
+        /// Trace id minted at submission (a presence byte, then the
+        /// id). `None` lets the service mint one at admission.
         trace_id: Option<u128>,
     },
     /// Server → client: the job was admitted.
@@ -1211,29 +1197,7 @@ pub enum Message {
         /// The completed record, if any.
         record: Option<WireRecord>,
     },
-    /// Client → server: every registered code with these dimensions.
-    QueryDims {
-        /// Codeword length.
-        n: u32,
-        /// Dataword length.
-        k: u32,
-    },
-    /// Server → client: the registry's answer for a dimension query.
-    DimsInfo {
-        /// Matching entries.
-        entries: Vec<WireCodeEntry>,
-    },
-    /// Client → server: every registered code with this canonical hash.
-    QueryHash {
-        /// The canonical hash.
-        hash: u64,
-    },
-    /// Server → client: the registry's answer for a hash query.
-    HashInfo {
-        /// Matching entries (more than one only on a hash collision).
-        entries: Vec<WireCodeEntry>,
-    },
-    /// Client → server (v2+): one page of the codes with these
+    /// Client → server: one page of the codes with these
     /// dimensions. The cursor is opaque: `None` starts from the
     /// beginning, and each answer's `next_cursor` resumes strictly after
     /// the last entry it returned. A cursor the server did not mint for
@@ -1248,15 +1212,16 @@ pub enum Message {
         /// Entries per page; 0 means the server's own cap.
         limit: u32,
     },
-    /// Server → client (v2+): one page of a dimension query.
+    /// Server → client: one page of a dimension query.
     DimsPage {
         /// This page's entries.
         entries: Vec<WireCodeEntry>,
         /// Send this back to fetch the next page; `None` means done.
         next_cursor: Option<Vec<u8>>,
     },
-    /// Client → server (v2+): one page of the codes with this canonical
-    /// hash. Cursor semantics match [`Message::QueryDimsPage`].
+    /// Client → server: one page of the codes with this canonical hash
+    /// (more than one only on a hash collision). Cursor semantics match
+    /// [`Message::QueryDimsPage`].
     QueryHashPage {
         /// The canonical hash.
         hash: u64,
@@ -1265,7 +1230,7 @@ pub enum Message {
         /// Entries per page; 0 means the server's own cap.
         limit: u32,
     },
-    /// Server → client (v2+): one page of a hash query.
+    /// Server → client: one page of a hash query.
     HashPage {
         /// This page's entries.
         entries: Vec<WireCodeEntry>,
@@ -1274,21 +1239,16 @@ pub enum Message {
     },
     /// Client → server: request a service stats snapshot.
     QueryStats,
-    /// Server → client: the stats snapshot (v1/v2 layout — the legacy
-    /// 14 counters; the registry and forwarding gauges ride only in
-    /// [`Message::StatsInfoV3`]).
+    /// Server → client: the stats snapshot, every counter and gauge.
     StatsInfo(WireStats),
-    /// Server → client (v3+): the stats snapshot including the registry
-    /// and forwarding gauges.
-    StatsInfoV3(WireStats),
-    /// Server → client (v3+), push: the cluster membership changed.
+    /// Server → client, push: the cluster membership changed.
     /// Clients adopt the ring (if its epoch is newer) and re-route
     /// without reconnecting.
     RingChanged {
         /// The new ring.
         ring: Ring,
     },
-    /// Node → node (v3+): a submit proxied by a non-owning cluster node.
+    /// Node → node: a submit proxied by a non-owning cluster node.
     /// Carries the forwarder's ring epoch; the receiver answers
     /// [`ErrorKind::WrongNode`] instead of forwarding again if it does
     /// not own the fingerprint (the loop guard).
@@ -1301,18 +1261,18 @@ pub enum Message {
         deadline_ms: Option<u64>,
         /// The forwarder's ring epoch, for stale-routing diagnostics.
         epoch: u64,
-        /// The origin node's trace id for the job (v4+), so both ends
-        /// of a forwarded submit report the same id. `None` encodes the
-        /// legacy v3 tag; `Some` encodes the v4 tag.
+        /// The origin node's trace id for the job, so both ends of a
+        /// forwarded submit report the same id (a presence byte, then
+        /// the id).
         trace_id: Option<u128>,
     },
-    /// Client → server (v4+): request the node's metrics exposition.
+    /// Client → server: request the node's metrics exposition.
     QueryMetrics {
         /// How many flight-recorder events to include, newest last.
         /// 0 means counters and histograms only.
         tail: u32,
     },
-    /// Server → client (v4+): the metrics exposition — one
+    /// Server → client: the metrics exposition — one
     /// line-oriented text block of counters, gauges, histogram
     /// summaries, and the flight-recorder tail.
     MetricsInfo {
@@ -1344,10 +1304,7 @@ const TAG_CANCEL: u8 = 11;
 const TAG_CANCEL_ACK: u8 = 12;
 const TAG_QUERY_FINGERPRINT: u8 = 13;
 const TAG_FINGERPRINT_INFO: u8 = 14;
-const TAG_QUERY_DIMS: u8 = 15;
-const TAG_DIMS_INFO: u8 = 16;
-const TAG_QUERY_HASH: u8 = 17;
-const TAG_HASH_INFO: u8 = 18;
+// Tags 15–18 are retired and stay unassigned (see WIRE_VERSION).
 const TAG_QUERY_STATS: u8 = 19;
 const TAG_STATS_INFO: u8 = 20;
 const TAG_ERROR: u8 = 21;
@@ -1358,9 +1315,7 @@ const TAG_QUERY_HASH_PAGE: u8 = 25;
 const TAG_HASH_PAGE: u8 = 26;
 const TAG_RING_CHANGED: u8 = 27;
 const TAG_SUBMIT_FORWARDED: u8 = 28;
-const TAG_STATS_INFO_V3: u8 = 29;
-const TAG_SUBMIT_V4: u8 = 30;
-const TAG_SUBMIT_FORWARDED_V4: u8 = 31;
+// Tags 29–31 are retired and stay unassigned (see WIRE_VERSION).
 const TAG_QUERY_METRICS: u8 = 32;
 const TAG_METRICS_INFO: u8 = 33;
 
@@ -1439,19 +1394,11 @@ impl Message {
                 deadline_ms,
                 trace_id,
             } => {
-                // The legacy tag iff there is no trace id: a v3 Submit
-                // round-trips to the same bytes, and each value has
-                // exactly one encoding.
-                match trace_id {
-                    None => w.u8(TAG_SUBMIT),
-                    Some(_) => w.u8(TAG_SUBMIT_V4),
-                }
+                w.u8(TAG_SUBMIT);
                 w.u128(fingerprint.0);
                 put_priority(&mut w, *priority);
                 w.opt_u64(*deadline_ms);
-                if let Some(trace) = trace_id {
-                    w.u128(*trace);
-                }
+                w.opt_u128(*trace_id);
             }
             Message::SubmitAck { job } => {
                 w.u8(TAG_SUBMIT_ACK);
@@ -1499,23 +1446,6 @@ impl Message {
                     }
                 }
             }
-            Message::QueryDims { n, k } => {
-                w.u8(TAG_QUERY_DIMS);
-                w.u32(*n);
-                w.u32(*k);
-            }
-            Message::DimsInfo { entries } => {
-                w.u8(TAG_DIMS_INFO);
-                put_code_entries(&mut w, entries);
-            }
-            Message::QueryHash { hash } => {
-                w.u8(TAG_QUERY_HASH);
-                w.u64(*hash);
-            }
-            Message::HashInfo { entries } => {
-                w.u8(TAG_HASH_INFO);
-                put_code_entries(&mut w, entries);
-            }
             Message::QueryDimsPage {
                 n,
                 k,
@@ -1559,10 +1489,6 @@ impl Message {
                 w.u8(TAG_STATS_INFO);
                 put_stats(&mut w, stats);
             }
-            Message::StatsInfoV3(stats) => {
-                w.u8(TAG_STATS_INFO_V3);
-                put_stats_v3(&mut w, stats);
-            }
             Message::RingChanged { ring } => {
                 w.u8(TAG_RING_CHANGED);
                 put_ring(&mut w, ring);
@@ -1574,17 +1500,12 @@ impl Message {
                 epoch,
                 trace_id,
             } => {
-                match trace_id {
-                    None => w.u8(TAG_SUBMIT_FORWARDED),
-                    Some(_) => w.u8(TAG_SUBMIT_FORWARDED_V4),
-                }
+                w.u8(TAG_SUBMIT_FORWARDED);
                 w.u128(fingerprint.0);
                 put_priority(&mut w, *priority);
                 w.opt_u64(*deadline_ms);
                 w.u64(*epoch);
-                if let Some(trace) = trace_id {
-                    w.u128(*trace);
-                }
+                w.opt_u128(*trace_id);
             }
             Message::QueryMetrics { tail } => {
                 w.u8(TAG_QUERY_METRICS);
@@ -1654,13 +1575,7 @@ impl Message {
                 fingerprint: Fingerprint(r.u128()?),
                 priority: get_priority(&mut r)?,
                 deadline_ms: r.opt_u64("deadline")?,
-                trace_id: None,
-            },
-            TAG_SUBMIT_V4 => Message::Submit {
-                fingerprint: Fingerprint(r.u128()?),
-                priority: get_priority(&mut r)?,
-                deadline_ms: r.opt_u64("deadline")?,
-                trace_id: Some(r.u128()?),
+                trace_id: r.opt_u128("trace id")?,
             },
             TAG_SUBMIT_ACK => Message::SubmitAck { job: r.u64()? },
             TAG_WATCH => Message::Watch { job: r.u64()? },
@@ -1695,17 +1610,6 @@ impl Message {
                     record,
                 }
             }
-            TAG_QUERY_DIMS => Message::QueryDims {
-                n: r.u32()?,
-                k: r.u32()?,
-            },
-            TAG_DIMS_INFO => Message::DimsInfo {
-                entries: get_code_entries(&mut r)?,
-            },
-            TAG_QUERY_HASH => Message::QueryHash { hash: r.u64()? },
-            TAG_HASH_INFO => Message::HashInfo {
-                entries: get_code_entries(&mut r)?,
-            },
             TAG_QUERY_DIMS_PAGE => Message::QueryDimsPage {
                 n: r.u32()?,
                 k: r.u32()?,
@@ -1727,7 +1631,6 @@ impl Message {
             },
             TAG_QUERY_STATS => Message::QueryStats,
             TAG_STATS_INFO => Message::StatsInfo(get_stats(&mut r)?),
-            TAG_STATS_INFO_V3 => Message::StatsInfoV3(get_stats_v3(&mut r)?),
             TAG_RING_CHANGED => Message::RingChanged {
                 ring: get_ring(&mut r)?,
             },
@@ -1736,14 +1639,7 @@ impl Message {
                 priority: get_priority(&mut r)?,
                 deadline_ms: r.opt_u64("deadline")?,
                 epoch: r.u64()?,
-                trace_id: None,
-            },
-            TAG_SUBMIT_FORWARDED_V4 => Message::SubmitForwarded {
-                fingerprint: Fingerprint(r.u128()?),
-                priority: get_priority(&mut r)?,
-                deadline_ms: r.opt_u64("deadline")?,
-                epoch: r.u64()?,
-                trace_id: Some(r.u128()?),
+                trace_id: r.opt_u128("trace id")?,
             },
             TAG_QUERY_METRICS => Message::QueryMetrics { tail: r.u32()? },
             TAG_METRICS_INFO => Message::MetricsInfo { text: r.string()? },
@@ -1821,12 +1717,4 @@ pub fn read_message(r: &mut impl Read, max_frame: usize) -> Result<Message, Recv
     let mut body = vec![0u8; len];
     r.read_exact(&mut body).map_err(RecvError::Io)?;
     Message::decode_body(&body).map_err(RecvError::Frame)
-}
-
-/// The server side of version negotiation: the highest version both
-/// peers speak, if the ranges overlap.
-pub fn negotiate(client_min: u16, client_max: u16) -> Option<u16> {
-    let version = client_max.min(WIRE_VERSION);
-    (client_min <= client_max && version >= client_min && version >= WIRE_MIN_VERSION)
-        .then_some(version)
 }

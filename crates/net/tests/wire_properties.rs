@@ -6,16 +6,17 @@
 //!    to the identical message (and survives the framed stream path).
 //! 2. **Totality** — truncated, trailing, corrupted, and oversized
 //!    bodies decode to *typed* [`WireError`]s; no input panics.
-//! 3. **Future-proofing** — unknown tags and non-overlapping version
-//!    ranges are typed refusals, mirroring the style of
+//! 3. **Future-proofing** — unknown tags, including the ones retired
+//!    from earlier protocol versions, are typed refusals, mirroring the
+//!    style of
 //!    [`TraceParseError::UnsupportedVersion`](beer_core::trace::TraceParseError).
 
 use beer_core::recovery::BudgetReason;
 use beer_core::trace::Fingerprint;
 use beer_ecc::hamming;
 use beer_net::wire::{
-    negotiate, read_message, ErrorKind, Message, RecvError, WireCodeEntry, WireError, WireEvent,
-    WireJobError, WireOutcome, WireOutput, WireRecord, WireStats, WIRE_MIN_VERSION, WIRE_VERSION,
+    read_message, ErrorKind, Message, RecvError, WireCodeEntry, WireError, WireEvent, WireJobError,
+    WireOutcome, WireOutput, WireRecord, WireStats, WIRE_VERSION,
 };
 use beer_net::{Ring, RingMember};
 use beer_service::{JobState, Priority};
@@ -178,10 +179,7 @@ impl Gen {
         }
     }
 
-    /// Stats for the legacy `StatsInfo` frame: its 14-counter v1 layout
-    /// is frozen, so the v3-only gauges stay at their default (they are
-    /// dropped on encode, and the round-trip property requires encoding
-    /// to be lossless).
+    /// Stats with every counter and gauge set.
     fn stats(&mut self) -> WireStats {
         WireStats {
             submitted: self.next(),
@@ -198,21 +196,12 @@ impl Gen {
             rejected_invalid_tenant: self.next(),
             rejected_unschedulable: self.next(),
             rejected_shutting_down: self.next(),
-            ..WireStats::default()
-        }
-    }
-
-    /// Stats for `StatsInfoV3`: every field, including the v3 gauges.
-    fn stats_v3(&mut self) -> WireStats {
-        WireStats {
-            truncated_answers: self.next(),
             registry_segments: self.next(),
             registry_snapshots: self.next(),
             registry_compactions: self.next(),
             registry_compaction_failures: self.next(),
             forwarded_jobs: self.next(),
             forward_errors: self.next(),
-            ..self.stats()
         }
     }
 
@@ -231,12 +220,10 @@ impl Gen {
 }
 
 /// Every frame variant, payloads derived from the seed. `variant` cycles
-/// through all 31 message kinds so every test run covers the full space.
-/// The optional trace ids on Submit/SubmitForwarded cover both tags:
-/// `None` exercises the legacy v1/v3 encodings, `Some` the v4 ones.
+/// through all 26 message kinds so every test run covers the full space.
 fn arb_message(variant: u64, seed: u64) -> Message {
     let g = &mut Gen(seed | 1);
-    match variant % 31 {
+    match variant % 26 {
         0 => Message::Hello {
             min_version: g.next() as u16,
             max_version: g.next() as u16,
@@ -304,45 +291,34 @@ fn arb_message(variant: u64, seed: u64) -> Message {
                 outcome: g.outcome(),
             }),
         },
-        14 => Message::QueryDims {
-            n: g.next() as u32,
-            k: g.next() as u32,
-        },
-        15 => Message::DimsInfo {
-            entries: g.entries(),
-        },
-        16 => Message::QueryHash { hash: g.next() },
-        17 => Message::HashInfo {
-            entries: g.entries(),
-        },
-        18 => Message::QueryStats,
-        19 => Message::StatsInfo(g.stats()),
-        20 => Message::Error {
+        14 => Message::QueryStats,
+        15 => Message::StatsInfo(g.stats()),
+        16 => Message::Error {
             kind: g.error_kind(),
             detail: g.string(),
         },
-        21 => Message::QueryDimsPage {
+        17 => Message::QueryDimsPage {
             n: g.next() as u32,
             k: g.next() as u32,
             cursor: g.opt_bytes(),
             limit: g.next() as u32,
         },
-        22 => Message::DimsPage {
+        18 => Message::DimsPage {
             entries: g.entries(),
             next_cursor: g.opt_bytes(),
         },
-        23 => Message::QueryHashPage {
+        19 => Message::QueryHashPage {
             hash: g.next(),
             cursor: g.opt_bytes(),
             limit: g.next() as u32,
         },
-        24 => Message::HashPage {
+        20 => Message::HashPage {
             entries: g.entries(),
             next_cursor: g.opt_bytes(),
         },
-        25 => Message::Bye,
-        26 => Message::RingChanged { ring: g.ring() },
-        27 => Message::SubmitForwarded {
+        21 => Message::Bye,
+        22 => Message::RingChanged { ring: g.ring() },
+        23 => Message::SubmitForwarded {
             fingerprint: g.fingerprint(),
             priority: match g.below(3) {
                 0 => Priority::Low,
@@ -353,8 +329,7 @@ fn arb_message(variant: u64, seed: u64) -> Message {
             epoch: g.next(),
             trace_id: g.opt_u128(),
         },
-        28 => Message::StatsInfoV3(g.stats_v3()),
-        29 => Message::QueryMetrics {
+        24 => Message::QueryMetrics {
             tail: g.next() as u32,
         },
         _ => Message::MetricsInfo { text: g.string() },
@@ -363,7 +338,7 @@ fn arb_message(variant: u64, seed: u64) -> Message {
 
 proptest! {
     #[test]
-    fn every_frame_roundtrips(variant in 0u64..31, seed in any::<u64>()) {
+    fn every_frame_roundtrips(variant in 0u64..26, seed in any::<u64>()) {
         let message = arb_message(variant, seed);
         let body = message.encode_body();
         let decoded = Message::decode_body(&body).expect("own encoding decodes");
@@ -377,7 +352,7 @@ proptest! {
     }
 
     #[test]
-    fn every_truncation_is_a_typed_error(variant in 0u64..31, seed in any::<u64>()) {
+    fn every_truncation_is_a_typed_error(variant in 0u64..26, seed in any::<u64>()) {
         let body = arb_message(variant, seed).encode_body();
         for len in 0..body.len() {
             match Message::decode_body(&body[..len]) {
@@ -393,7 +368,7 @@ proptest! {
     }
 
     #[test]
-    fn trailing_bytes_are_a_typed_error(variant in 0u64..31, seed in any::<u64>()) {
+    fn trailing_bytes_are_a_typed_error(variant in 0u64..26, seed in any::<u64>()) {
         let mut body = arb_message(variant, seed).encode_body();
         body.push(0);
         // Most frames report the trailing byte; frames ending in a
@@ -403,7 +378,7 @@ proptest! {
     }
 
     #[test]
-    fn corrupt_bytes_never_panic(variant in 0u64..31, seed in any::<u64>(), flips in 1usize..8) {
+    fn corrupt_bytes_never_panic(variant in 0u64..26, seed in any::<u64>(), flips in 1usize..8) {
         let mut body = arb_message(variant, seed).encode_body();
         let mut g = Gen(seed ^ 0xDEAD_BEEF);
         for _ in 0..flips {
@@ -430,9 +405,11 @@ proptest! {
 
 #[test]
 fn unknown_future_tags_are_typed_errors() {
-    // 34 is the first tag past the v4 additions (30–33); the rest are
-    // arbitrary unassigned values including the extremes.
-    for tag in [0u8, 34, 42, 200, 255] {
+    // 15–18 (capped registry queries) and 29–31 (the second stats frame
+    // and the second Submit/SubmitForwarded tags) are retired; 34 is the
+    // first tag past the last assigned one (33); the rest are arbitrary
+    // unassigned values including the extremes.
+    for tag in [0u8, 15, 16, 17, 18, 29, 30, 31, 34, 42, 200, 255] {
         let body = vec![tag, 1, 2, 3];
         assert_eq!(
             Message::decode_body(&body),
@@ -445,8 +422,8 @@ fn unknown_future_tags_are_typed_errors() {
 #[test]
 fn hello_without_magic_is_refused() {
     let mut body = Message::Hello {
-        min_version: 1,
-        max_version: 1,
+        min_version: WIRE_VERSION,
+        max_version: WIRE_VERSION,
         tenant: "t".to_string(),
         token: String::new(),
     }
@@ -489,31 +466,6 @@ fn clean_eof_is_distinguished_from_truncation() {
         read_message(&mut cursor, 1024),
         Err(RecvError::Io(_))
     ));
-}
-
-#[test]
-fn version_negotiation_picks_the_highest_common_version() {
-    // A v1-only client: the server steps down to v1.
-    assert_eq!(negotiate(1, 1), Some(1));
-    // Pre-v4 peers: the server steps down to the client's best version,
-    // so v3 cluster nodes and v1 tooling keep working against a v4
-    // server (they just never see trace ids or metrics frames).
-    assert_eq!(negotiate(1, 3), Some(3));
-    assert_eq!(negotiate(3, 3), Some(3));
-    assert_eq!(negotiate(1, 2), Some(2));
-    // Identical ranges at the current version.
-    assert_eq!(negotiate(WIRE_VERSION, WIRE_VERSION), Some(WIRE_VERSION));
-    // A newer client offering a wide range: the server's best version.
-    assert_eq!(negotiate(1, 9), Some(WIRE_VERSION));
-    // A client that only speaks newer versions: no overlap.
-    assert_eq!(negotiate(WIRE_VERSION + 1, WIRE_VERSION + 5), None);
-    // A client that only speaks *older* versions than the server's
-    // minimum: also no overlap (the server must never ack a version it
-    // has no implementation of).
-    assert_eq!(negotiate(0, 0), None);
-    assert_eq!(negotiate(0, WIRE_MIN_VERSION - 1), None);
-    // Nonsense range.
-    assert_eq!(negotiate(5, 2), None);
 }
 
 #[test]

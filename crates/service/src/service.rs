@@ -347,10 +347,6 @@ pub struct ServiceStats {
     pub running: usize,
     /// Admission rejections by kind.
     pub rejected: RejectionStats,
-    /// Registry query answers truncated at the network edge's entry cap
-    /// (reported by [`RecoveryService::note_truncated_answer`]): operators
-    /// watching this climb know clients are seeing partial answers.
-    pub truncated_answers: u64,
     /// Live registry segments of any kind — log + snapshot (gauge).
     pub registry_segments: usize,
     /// Live registry snapshot generations (gauge). Climbing toward the
@@ -498,7 +494,6 @@ struct Counters {
     coalesced: u64,
     requeued: u64,
     rejected: RejectionStats,
-    truncated_answers: u64,
     forwarded_jobs: u64,
     forward_errors: u64,
 }
@@ -729,7 +724,8 @@ impl RecoveryService {
                 input: slot,
                 fingerprint,
                 cancel: CancelToken::new(),
-                deadline_at: deadline.map(|d| Instant::now() + d),
+                // A deadline past the clock's range is no deadline.
+                deadline_at: deadline.and_then(|d| Instant::now().checked_add(d)),
                 enqueued_at: Instant::now(),
                 trace_id,
                 waiters: Vec::new(),
@@ -1019,19 +1015,20 @@ impl RecoveryService {
     /// [`RecoveryService::wait`], so a drain waits exactly as long as the
     /// work does, with no polling.
     pub fn wait_idle(&self, timeout: std::time::Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        // A timeout past the clock's range waits unbounded.
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = lock_unpoisoned(&self.inner.state);
         loop {
             if state.scheduler.len() == 0 && state.running == 0 {
                 return true;
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
+            let remaining = match deadline {
+                Some(at) => at.saturating_duration_since(Instant::now()),
+                None => timeout,
             };
+            if remaining.is_zero() {
+                return false;
+            }
             let (guard, _) = self
                 .inner
                 .finished
@@ -1039,14 +1036,6 @@ impl RecoveryService {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             state = guard;
         }
-    }
-
-    /// Records that a registry query answer was truncated at the network
-    /// edge's entry cap (see [`ServiceStats::truncated_answers`]).
-    pub fn note_truncated_answer(&self) {
-        lock_unpoisoned(&self.inner.state)
-            .counters
-            .truncated_answers += 1;
     }
 
     /// Records that a submission was proxied to its owning cluster peer
@@ -1080,7 +1069,7 @@ impl RecoveryService {
     /// The node's full observability state as text: the frozen
     /// [`ServiceStats`] mirror, every registered metric series (latency
     /// histograms with p50/p90/p99), and the last `tail` flight-recorder
-    /// events. This is the payload of the wire's v4 `QueryMetrics`
+    /// events. This is the payload of the wire's `QueryMetrics`
     /// answer; the format is line-oriented and stable enough to grep,
     /// not a frozen wire encoding.
     pub fn metrics_text(&self, tail: usize) -> String {
@@ -1089,7 +1078,7 @@ impl RecoveryService {
         out.push_str(&format!(
             "stats submitted={} completed={} failed={} cancelled={} \
              cache_hits={} coalesced={} requeued={} queued={} running={} \
-             rejected={} truncated_answers={} forwarded_jobs={} forward_errors={}\n",
+             rejected={} forwarded_jobs={} forward_errors={}\n",
             stats.submitted,
             stats.completed,
             stats.failed,
@@ -1100,7 +1089,6 @@ impl RecoveryService {
             stats.queued,
             stats.running,
             stats.rejected.total(),
-            stats.truncated_answers,
             stats.forwarded_jobs,
             stats.forward_errors,
         ));
@@ -1140,7 +1128,6 @@ impl RecoveryService {
                 .count(),
             running: state.running,
             rejected: c.rejected,
-            truncated_answers: c.truncated_answers,
             registry_segments: state.registry.segment_count(),
             registry_snapshots: state.registry.snapshot_count(),
             registry_compactions: state.registry.compactions(),
@@ -1512,6 +1499,7 @@ mod tests {
     use beer_core::engine::AnalyticBackend;
     use beer_core::pattern::PatternSet;
     use beer_ecc::hamming;
+    use std::time::Duration;
 
     fn sample_trace() -> ProfileTrace {
         let code = hamming::shortened(8);
@@ -1599,5 +1587,28 @@ mod tests {
         assert_eq!(stats.rejected.too_large, 1);
         assert_eq!(stats.rejected.invalid_tenant, 1);
         assert_eq!(stats.rejected.total(), 2);
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_mean_no_deadline() {
+        let service = RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start");
+        let id = service
+            .submit(JobRequest::trace("t", sample_trace()).with_deadline(Duration::MAX))
+            .expect("admitted");
+        assert!(
+            service.wait(id).is_ok(),
+            "an endless deadline never expires"
+        );
+        // The state lock survived: the service still admits and answers.
+        let again = service
+            .submit(JobRequest::trace("t", sample_trace()))
+            .expect("admitted after");
+        assert!(service.wait(again).is_ok());
+    }
+
+    #[test]
+    fn wait_idle_accepts_an_unrepresentable_timeout() {
+        let service = RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start");
+        assert!(service.wait_idle(Duration::MAX));
     }
 }

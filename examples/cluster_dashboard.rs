@@ -1,7 +1,7 @@
 //! A live cluster metrics dashboard: launch a two-node cluster
 //! in-process, push a mixed workload through it (including a submit
 //! that crosses nodes via the forward path), then poll every node's
-//! wire-v4 `QueryMetrics` surface and render the merged view —
+//! `QueryMetrics` wire surface and render the merged view —
 //! per-stage pipeline histograms, queue-wait quantiles, tenant
 //! counters, and the flight-recorder tail whose trace ids stitch the
 //! forwarded job across both nodes.
@@ -11,7 +11,7 @@
 //! ```
 
 use beer::cluster::Cluster;
-use beer::net::{Client, Ring};
+use beer::net::{Client, Ring, WIRE_VERSION};
 use beer::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut forwarder = Client::connect(cluster.addrs()[1].clone(), "acme", "")?;
     forwarder.upload_trace(&owned_by_0)?;
     let forwarded = forwarder.submit(&owned_by_0)?;
-    let trace_id = forwarded.trace_id.expect("v4 submits carry a trace id");
+    let trace_id = forwarded.trace_id.expect("every submit carries a trace id");
     let _ = forwarder.wait(forwarded)?;
     // A repeat of the same profile: answered from the owner's cache.
     let repeat = forwarder.submit(&owned_by_0)?;
@@ -78,12 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for node in cluster.nodes() {
         let mut poller = Client::connect(node.addr(), "dashboard", "")?;
         let text = poller.query_metrics(16)?;
-        println!(
-            "=== {} ({}) — wire v{}",
-            node.name,
-            node.addr(),
-            poller.version()
-        );
+        println!("=== {} ({}) — wire v{WIRE_VERSION}", node.name, node.addr());
         for line in text.lines() {
             // The full exposition is verbose; a dashboard shows the
             // series that answer "where does the time go".

@@ -1,4 +1,4 @@
-//! Remote recovery over `beer-wire v1`: a server on an ephemeral
+//! Remote recovery over `beer-wire`: a server on an ephemeral
 //! loopback port, one client submitting a profiled trace, and a second
 //! client attaching to the *same fingerprint* — it coalesces onto the
 //! in-flight job and streams its events instead of re-solving.
@@ -7,7 +7,7 @@
 //! cargo run --release --example remote_recovery
 //! ```
 
-use beer::net::{Client, NetServer, NetServerConfig, WireEvent};
+use beer::net::{Client, NetServer, NetServerConfig, WireEvent, WIRE_VERSION};
 use beer::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,9 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut alice = Client::connect(&addr, "alice", "")?;
     let job_a = alice.submit(&trace)?;
     println!(
-        "alice: submitted as job {} (wire v{})",
-        job_a.id,
-        alice.version()
+        "alice: submitted as job {} (wire v{WIRE_VERSION})",
+        job_a.id
     );
 
     // Client 2 submits the *same fingerprint* from another connection —

@@ -86,7 +86,7 @@ fn forwarded_submit_solves_on_owner() {
     cluster.shutdown(Duration::from_secs(2));
 }
 
-/// Cross-node trace correlation (wire v4): the trace id minted at
+/// Cross-node trace correlation: the trace id minted at
 /// submission rides the forward hop, so querying metrics on the origin
 /// *and* the owner finds the same 32-hex id — the origin's "forward"
 /// flight event and the owner's admission/dispatch events stitch into

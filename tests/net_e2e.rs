@@ -3,9 +3,10 @@
 //! submissions from distinct clients coalesce onto one job with both
 //! receiving the streamed terminal event, a dropped connection resumes by
 //! fingerprint without re-solving, typed backpressure crosses the wire,
+//! a Hello without the one wire version is refused with a typed error,
 //! and a restarted server answers from the replayed registry.
 
-use beer::net::wire::{self, ErrorKind, Message};
+use beer::net::wire::{self, ErrorKind, Message, RecvError};
 use beer::net::{Client, ClientConfig, ClientError, NetServer, NetServerConfig, WireOutcome};
 use beer::prelude::*;
 use rand::SeedableRng;
@@ -353,9 +354,64 @@ fn backpressure_is_typed_on_the_wire() {
     server.shutdown(Duration::from_secs(2));
 }
 
-/// Raw-socket protocol behavior: version negotiation refusals, submits
-/// for unuploaded fingerprints, foreign job ids, and garbage frames are
-/// all typed errors.
+/// The one handshake rule: a Hello is accepted iff its version range
+/// contains `WIRE_VERSION`. An older build's range, a future-only range
+/// and an inverted range each get a typed `UnsupportedVersion` naming the
+/// one version the server speaks, then a clean close; any range holding
+/// the current version is acked at it.
+#[test]
+fn hello_ranges_without_the_current_version_are_refused() {
+    let service =
+        Arc::new(RecoveryService::start(ServiceConfig::new().with_workers(1)).expect("start"));
+    let server =
+        NetServer::bind(Arc::clone(&service), "127.0.0.1:0", NetServerConfig::new()).expect("bind");
+    let hello = |min_version: u16, max_version: u16| {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        wire::write_message(
+            &mut stream,
+            &Message::Hello {
+                min_version,
+                max_version,
+                tenant: "t".to_string(),
+                token: String::new(),
+            },
+        )
+        .expect("send hello");
+        let answer = wire::read_message(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES);
+        (stream, answer)
+    };
+    let v = wire::WIRE_VERSION;
+    for (min, max) in [(1, 4), (v + 1, v + 4), (v, v - 1)] {
+        let (mut stream, answer) = hello(min, max);
+        match answer {
+            Ok(Message::Error {
+                kind: ErrorKind::UnsupportedVersion { min, max },
+                ..
+            }) => assert_eq!((min, max), (v, v)),
+            other => panic!("range {min}..={max}: expected UnsupportedVersion, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                wire::read_message(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES),
+                Err(RecvError::Closed)
+            ),
+            "range {min}..={max}: the refusal closes the connection"
+        );
+    }
+    for (min, max) in [(v, v), (1, u16::MAX)] {
+        match hello(min, max).1 {
+            Ok(Message::HelloAck { version, .. }) => assert_eq!(version, v),
+            other => panic!("range {min}..={max}: expected HelloAck, got {other:?}"),
+        }
+    }
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// Raw-socket protocol behavior: submits for unuploaded fingerprints,
+/// foreign job ids, and garbage frames are all typed errors.
 #[test]
 fn protocol_violations_are_typed_errors() {
     let service =
@@ -365,38 +421,14 @@ fn protocol_violations_are_typed_errors() {
     let addr = server.local_addr();
     let max = wire::DEFAULT_MAX_FRAME_BYTES;
 
-    // A client from the future: no common version.
-    {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        wire::write_message(
-            &mut stream,
-            &Message::Hello {
-                min_version: 7,
-                max_version: 9,
-                tenant: "t".to_string(),
-                token: String::new(),
-            },
-        )
-        .expect("send");
-        match wire::read_message(&mut stream, max) {
-            Ok(Message::Error {
-                kind: ErrorKind::UnsupportedVersion { min, max },
-                ..
-            }) => {
-                assert_eq!((min, max), (wire::WIRE_MIN_VERSION, wire::WIRE_VERSION));
-            }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-    }
-
     // Submit before upload, watch/cancel of a foreign id, then garbage.
     {
         let mut stream = TcpStream::connect(addr).expect("connect");
         wire::write_message(
             &mut stream,
             &Message::Hello {
-                min_version: 1,
-                max_version: 1,
+                min_version: wire::WIRE_VERSION,
+                max_version: wire::WIRE_VERSION,
                 tenant: "t".to_string(),
                 token: String::new(),
             },
@@ -404,7 +436,10 @@ fn protocol_violations_are_typed_errors() {
         .expect("send hello");
         assert!(matches!(
             wire::read_message(&mut stream, max),
-            Ok(Message::HelloAck { version: 1, .. })
+            Ok(Message::HelloAck {
+                version: wire::WIRE_VERSION,
+                ..
+            })
         ));
 
         let fingerprint = Fingerprint(42);
@@ -461,8 +496,8 @@ fn protocol_violations_are_typed_errors() {
         wire::write_message(
             &mut stream,
             &Message::Hello {
-                min_version: 1,
-                max_version: 1,
+                min_version: wire::WIRE_VERSION,
+                max_version: wire::WIRE_VERSION,
                 tenant: "t".to_string(),
                 token: String::new(),
             },

@@ -1,17 +1,15 @@
 //! Cursor-paginated registry queries across the full network stack: a
-//! v2 client pages a dimension query past the server's per-answer cap
-//! with no truncation, cursors survive tampering only as typed
-//! BadRequest refusals (the connection stays usable), and a v1 peer
-//! still gets the capped single-frame answer it always got.
+//! client pages a dimension query past the server's per-page cap with no
+//! truncation, and cursors survive tampering only as typed BadRequest
+//! refusals (the connection stays usable).
 
-use beer::net::wire::{self, ErrorKind, Message};
+use beer::net::wire::ErrorKind;
 use beer::net::{Client, ClientError, NetServer, NetServerConfig};
 use beer::prelude::*;
 use beer::service::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -61,29 +59,25 @@ fn v2_client_pages_past_the_server_cap_without_truncation() {
     .expect("bind");
     let mut client =
         Client::connect(server.local_addr().to_string(), "alice", "").expect("connect");
-    assert_eq!(client.version(), wire::WIRE_VERSION);
 
-    // Page to completion: every class comes back exactly once, no page
-    // over the cap, and the server never counted a truncated answer.
-    let entries = client.query_dims_all(n, k).expect("paged query");
+    // Page to completion: every class comes back exactly once.
+    let entries = client.query_dims(n, k).expect("paged query");
     let hashes: HashSet<u64> = entries.iter().map(|e| e.hash).collect();
     assert_eq!(entries.len(), distinct, "every entry exactly once");
     assert_eq!(hashes.len(), distinct, "no duplicates across pages");
-    assert_eq!(service.stats().truncated_answers, 0);
 
     // A single explicit page respects the requested limit.
     let (page, next) = client.query_dims_page(n, k, None, 2).expect("first page");
     assert_eq!(page.len(), 2);
     assert!(next.is_some(), "more classes remain");
 
-    // The old capped query still truncates — and is counted.
-    let capped = client.query_dims(n, k).expect("v1-style query");
-    assert_eq!(capped.len(), 4, "v1 answers stop at the cap");
-    assert_eq!(service.stats().truncated_answers, 1);
+    // A limit-0 page stops at the server's cap.
+    let (page, _) = client.query_dims_page(n, k, None, 0).expect("capped page");
+    assert_eq!(page.len(), 4, "pages stop at max_query_entries");
 
     // Hash pagination drains a bucket the same way.
     let hash = entries[0].hash;
-    let by_hash = client.query_hash_all(hash).expect("hash query");
+    let by_hash = client.query_hash(hash).expect("hash query");
     assert_eq!(by_hash.len(), 1);
     assert_eq!(by_hash[0].hash, hash);
 
@@ -148,69 +142,6 @@ fn bad_cursors_are_typed_refusals_and_the_connection_survives() {
     assert!(!page.is_empty());
 
     client.close();
-    drop(server);
-    let _ = std::fs::remove_dir_all(&path);
-}
-
-#[test]
-fn v1_peers_get_capped_answers_and_no_pagination() {
-    let path = temp_registry("v1");
-    let ((n, k), _) = populate(&path, 10);
-
-    let service = Arc::new(
-        RecoveryService::start(ServiceConfig::new().with_registry_path(&path)).expect("start"),
-    );
-    let server = NetServer::bind(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        NetServerConfig::new().with_max_query_entries(4),
-    )
-    .expect("bind");
-
-    // A raw v1-only handshake.
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    wire::write_message(
-        &mut stream,
-        &Message::Hello {
-            min_version: 1,
-            max_version: 1,
-            tenant: "alice".to_string(),
-            token: String::new(),
-        },
-    )
-    .expect("hello");
-    match wire::read_message(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("hello ack") {
-        Message::HelloAck { version, .. } => assert_eq!(version, 1, "server steps down to v1"),
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
-
-    // The classic query: capped, counted as truncated.
-    wire::write_message(&mut stream, &Message::QueryDims { n, k }).expect("query");
-    match wire::read_message(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("answer") {
-        Message::DimsInfo { entries } => assert_eq!(entries.len(), 4),
-        other => panic!("expected DimsInfo, got {other:?}"),
-    }
-    assert_eq!(service.stats().truncated_answers, 1);
-
-    // A v2-only frame on a v1 connection: typed refusal, not a page.
-    wire::write_message(
-        &mut stream,
-        &Message::QueryDimsPage {
-            n,
-            k,
-            cursor: None,
-            limit: 0,
-        },
-    )
-    .expect("page query");
-    match wire::read_message(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("refusal") {
-        Message::Error {
-            kind: ErrorKind::BadRequest,
-            ..
-        } => {}
-        other => panic!("expected BadRequest, got {other:?}"),
-    }
-
     drop(server);
     let _ = std::fs::remove_dir_all(&path);
 }

@@ -1,8 +1,8 @@
 //! Reactor-edge behaviors the blocking suites cannot see: readiness-driven
 //! hangup detection, bounded write queues shedding slow readers, typed
-//! admission-control refusals, event-driven drain latency, and truncation
-//! accounting on registry queries. Connection scaling without threads
-//! lives in `net_reactor_threads.rs`, a binary of its own.
+//! admission-control refusals, and event-driven drain latency.
+//! Connection scaling without threads lives in `net_reactor_threads.rs`,
+//! a binary of its own.
 
 mod reactor_support;
 
@@ -10,25 +10,12 @@ use beer::net::reactor::raise_nofile_limit;
 use beer::net::wire::{read_message, write_message, ErrorKind, Message, RecvError};
 use beer::net::{Client, NetServer, NetServerConfig};
 use beer::prelude::*;
-use rand::SeedableRng;
 use reactor_support::{handshake, record_trace, submit, upload, GateSource, MAX_FRAME};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn distinct_codes(count: usize, k: usize, seed: u64) -> Vec<LinearCode> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut codes: Vec<LinearCode> = Vec::new();
-    while codes.len() < count {
-        let candidate = hamming::random_sec(k, &mut rng);
-        if !codes.iter().any(|c| equivalent(c, &candidate)) {
-            codes.push(candidate);
-        }
-    }
-    codes
-}
 
 /// A watcher that hangs up mid-watch is detected by readiness (RDHUP),
 /// not a liveness poll: its slot frees within a reactor tick while the
@@ -269,40 +256,4 @@ fn drain_returns_promptly_after_service_goes_idle() {
         drained_in >= Duration::from_millis(100),
         "drain saw the gate"
     );
-}
-
-/// Registry query answers are capped; a capped answer is marked by
-/// counting it in ServiceStats.truncated_answers so operators can tell
-/// truncation from a small registry.
-#[test]
-fn truncated_query_answers_are_counted() {
-    let cap = 2usize;
-    let codes = distinct_codes(4, 8, 0xBEE5);
-
-    let service =
-        Arc::new(RecoveryService::start(ServiceConfig::new().with_workers(2)).expect("start"));
-    let server = NetServer::bind(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        NetServerConfig::new().with_max_query_entries(cap),
-    )
-    .expect("bind");
-
-    let mut client =
-        Client::connect(server.local_addr().to_string(), "alice", "").expect("connect");
-    for code in &codes {
-        let job = client.submit(&record_trace(code)).expect("submit");
-        client.wait(job).expect("watch").expect("solves");
-    }
-    assert_eq!(service.stats().truncated_answers, 0);
-
-    let n = codes[0].n() as u32;
-    let entries = client.query_dims(n, 8).expect("query");
-    assert_eq!(entries.len(), cap, "answer is capped at max_query_entries");
-    assert_eq!(
-        service.stats().truncated_answers,
-        1,
-        "the capped answer is counted as truncated"
-    );
-    server.shutdown(Duration::from_secs(5));
 }
